@@ -11,8 +11,9 @@ as a side effect while computing real values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: op kind -> (latency cycles, dynamic energy pJ at 55 nm)
 OP_COSTS: Dict[str, Tuple[int, float]] = {
@@ -64,6 +65,21 @@ class DdgNode:
         return OP_RESOURCE[self.kind]
 
 
+class DdgColumns(NamedTuple):
+    """Design-independent per-node columns and totals of one DDG.
+
+    A design-space sweep schedules the same graph at every design point;
+    these are computed once per graph instead of once per point.
+    """
+
+    deps: List[Tuple[int, ...]]
+    resources: List[str]
+    latencies: List[int]
+    histogram: Dict[str, int]  # op kind -> count
+    resource_ops: Dict[str, int]  # resource class -> ops using it
+    energy_pj: float
+
+
 class Ddg:
     """A complete dynamic dependence graph plus array metadata."""
 
@@ -71,6 +87,7 @@ class Ddg:
         self.name = name
         self.nodes: List[DdgNode] = []
         self.arrays: Dict[str, int] = {}  # array name -> element count
+        self._columns: Optional[DdgColumns] = None
 
     def add(self, kind: str, deps: Sequence[int], array: Optional[str] = None,
             index: int = 0) -> int:
@@ -78,7 +95,23 @@ class Ddg:
             raise KeyError(f"unknown DDG op kind {kind!r}")
         node_id = len(self.nodes)
         self.nodes.append(DdgNode(node_id, kind, tuple(deps), array, index))
+        self._columns = None
         return node_id
+
+    def columns(self) -> DdgColumns:
+        """The graph as plain columns, memoised until the next :meth:`add`."""
+        if self._columns is None:
+            nodes = self.nodes
+            resources = [node.resource for node in nodes]
+            self._columns = DdgColumns(
+                deps=[node.deps for node in nodes],
+                resources=resources,
+                latencies=[node.latency for node in nodes],
+                histogram=dict(Counter(node.kind for node in nodes)),
+                resource_ops=dict(Counter(resources)),
+                energy_pj=sum(node.energy_pj for node in nodes),
+            )
+        return self._columns
 
     def declare_array(self, name: str, elements: int) -> None:
         self.arrays[name] = elements
@@ -88,13 +121,10 @@ class Ddg:
         return len(self.nodes)
 
     def op_histogram(self) -> Dict[str, int]:
-        histogram: Dict[str, int] = {}
-        for node in self.nodes:
-            histogram[node.kind] = histogram.get(node.kind, 0) + 1
-        return histogram
+        return dict(self.columns().histogram)
 
     def total_energy_pj(self) -> float:
-        return sum(node.energy_pj for node in self.nodes)
+        return self.columns().energy_pj
 
     def critical_path(self) -> int:
         """Longest latency-weighted dependence chain (min possible cycles)."""

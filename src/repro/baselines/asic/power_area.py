@@ -95,9 +95,10 @@ def estimate_power_area(ddg: Ddg, result: ScheduleResult) -> AsicEstimate:
 
     # Dynamic power: datapath op energies plus SRAM access energy for every
     # load/store, averaged over the runtime at 1 GHz (pJ/ns == mW).
-    histogram = ddg.op_histogram()
+    columns = ddg.columns()
+    histogram = columns.histogram
     mem_accesses = histogram.get("load", 0) + histogram.get("store", 0)
-    dynamic_pj = ddg.total_energy_pj() + SRAM_DYNAMIC_PJ_PER_ACCESS * mem_accesses
+    dynamic_pj = columns.energy_pj + SRAM_DYNAMIC_PJ_PER_ACCESS * mem_accesses
     dynamic_mw = dynamic_pj / max(1, result.cycles)
 
     return AsicEstimate(

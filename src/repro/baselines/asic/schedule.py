@@ -10,7 +10,6 @@ the same "ideally pipelined, resource limited" assumption Aladdin makes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -62,29 +61,46 @@ class ScheduleResult:
 
 
 def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
-    """List-schedule the DDG; returns total cycles and busy counters."""
+    """List-schedule the DDG; returns total cycles and busy counters.
+
+    Each op takes the first cycle at or after its dependences finish that
+    has a free slot on its resource.  Per resource, ``used`` counts the
+    slots taken in each partly-filled cycle, and ``skip`` links every full
+    cycle towards a later cycle (a union-find with path compression), so
+    the search jumps over saturated runs instead of scanning them.
+    """
     resources = design.resources
-    # usage[resource][cycle] = slots consumed that cycle
-    usage: Dict[str, Dict[int, int]] = {name: defaultdict(int) for name in resources}
-    finish: List[int] = [0] * ddg.num_ops
-    busy: Dict[str, int] = {name: 0 for name in resources}
+    columns = ddg.columns()
+    state = {name: (limit, {}, {}) for name, limit in resources.items()}
+    finish: List[int] = []
     last_cycle = 0
 
-    for node in ddg.nodes:
-        earliest = 0
-        for dep in node.deps:
-            if finish[dep] > earliest:
-                earliest = finish[dep]
-        resource = node.resource
-        limit = resources[resource]
-        slot_usage = usage[resource]
-        cycle = earliest
-        while slot_usage[cycle] >= limit:
-            cycle += 1
-        slot_usage[cycle] += 1
-        busy[resource] += 1
-        finish[node.node_id] = cycle + node.latency
-        if finish[node.node_id] > last_cycle:
-            last_cycle = finish[node.node_id]
+    for deps, resource, latency in zip(
+        columns.deps, columns.resources, columns.latencies
+    ):
+        cycle = 0
+        for dep in deps:
+            if finish[dep] > cycle:
+                cycle = finish[dep]
+        limit, used, skip = state[resource]
+        if cycle in skip:
+            root = skip[cycle]
+            while root in skip:
+                root = skip[root]
+            while cycle != root:
+                parent = skip[cycle]
+                skip[cycle] = root
+                cycle = parent
+        taken = used.get(cycle, 0) + 1
+        if taken >= limit:
+            skip[cycle] = cycle + 1
+            used.pop(cycle, None)
+        else:
+            used[cycle] = taken
+        cycle += latency
+        finish.append(cycle)
+        if cycle > last_cycle:
+            last_cycle = cycle
 
+    busy = {name: columns.resource_ops.get(name, 0) for name in resources}
     return ScheduleResult(design, max(last_cycle, 1), ddg.num_ops, busy)

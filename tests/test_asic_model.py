@@ -1,10 +1,17 @@
 """Unit + property tests for mini-Aladdin: DDG, scheduler, power/area, DSE."""
 
+from collections import defaultdict
+from functools import partial
+from typing import Dict, List
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.asic import (
+    OP_COSTS,
     AsicDesign,
+    Ddg,
+    ScheduleResult,
     TraceBuilder,
     estimate_power_area,
     explore_design_space,
@@ -12,6 +19,39 @@ from repro.baselines.asic import (
     schedule_ddg,
     select_iso_performance,
 )
+from repro.baselines.asic import dse
+from repro.workloads import machsuite as m
+
+
+# The original cycle-by-cycle slot scan (quadratic once a resource
+# saturates), kept verbatim as the oracle for ``schedule_ddg``.
+def reference_schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
+    """List-schedule the DDG; returns total cycles and busy counters."""
+    resources = design.resources
+    # usage[resource][cycle] = slots consumed that cycle
+    usage: Dict[str, Dict[int, int]] = {name: defaultdict(int) for name in resources}
+    finish: List[int] = [0] * ddg.num_ops
+    busy: Dict[str, int] = {name: 0 for name in resources}
+    last_cycle = 0
+
+    for node in ddg.nodes:
+        earliest = 0
+        for dep in node.deps:
+            if finish[dep] > earliest:
+                earliest = finish[dep]
+        resource = node.resource
+        limit = resources[resource]
+        slot_usage = usage[resource]
+        cycle = earliest
+        while slot_usage[cycle] >= limit:
+            cycle += 1
+        slot_usage[cycle] += 1
+        busy[resource] += 1
+        finish[node.node_id] = cycle + node.latency
+        if finish[node.node_id] > last_cycle:
+            last_cycle = finish[node.node_id]
+
+    return ScheduleResult(design, max(last_cycle, 1), ddg.num_ops, busy)
 
 
 def vector_scale_ddg(n=32, factor=3):
@@ -126,6 +166,96 @@ class TestScheduling:
         ddg = vector_scale_ddg(32).ddg
         design = AsicDesign(unroll=unroll, partition=partition)
         assert schedule_ddg(ddg, design).cycles == schedule_ddg(ddg, design).cycles
+
+    def test_columns_reset_by_add(self):
+        ddg = vector_scale_ddg(4).ddg
+        before = schedule_ddg(ddg, AsicDesign())
+        ddg.add("div", [ddg.num_ops - 1])
+        after = schedule_ddg(ddg, AsicDesign())
+        assert after.ops == before.ops + 1
+        assert after.cycles == before.cycles + OP_COSTS["div"][0]
+        assert ddg.op_histogram()["div"] == 1
+
+
+@st.composite
+def random_ddgs(draw):
+    """Random DAGs over every op kind; a node may depend on any earlier one."""
+    ddg = Ddg("random")
+    for node_id in range(draw(st.integers(1, 80))):
+        deps = []
+        if node_id:
+            deps = draw(st.lists(st.integers(0, node_id - 1), max_size=3))
+        ddg.add(draw(st.sampled_from(sorted(OP_COSTS))), deps)
+    return ddg
+
+
+designs = st.builds(
+    AsicDesign,
+    unroll=st.sampled_from(dse.DEFAULT_UNROLL),
+    partition=st.sampled_from(dse.DEFAULT_PARTITION),
+    base_alu=st.integers(1, 4),
+    base_mul=st.integers(1, 4),
+    base_div=st.integers(1, 2),
+    base_special=st.integers(1, 2),
+    mem_ports_per_partition=st.integers(1, 2),
+)
+
+
+class TestSchedulerOracle:
+    """The next-free-slot scheduler against the cycle-by-cycle scan."""
+
+    @staticmethod
+    def assert_same(ddg, design):
+        fast = schedule_ddg(ddg, design)
+        slow = reference_schedule_ddg(ddg, design)
+        assert (fast.cycles, fast.ops, fast.resource_busy) == (
+            slow.cycles, slow.ops, slow.resource_busy)
+
+    @given(ddg=random_ddgs(), design=designs)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_random_dags(self, ddg, design):
+        self.assert_same(ddg, design)
+
+    @given(ddg=random_ddgs())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_reference_under_heavy_saturation(self, ddg):
+        self.assert_same(ddg, AsicDesign(mem_ports_per_partition=1))
+        self.assert_same(ddg, AsicDesign(unroll=16, partition=8))
+
+
+#: every MachSuite kernel's DDG at a small size
+SMALL_DDGS = {
+    "bfs": partial(m.bfs_ddg, n=24, e=72),
+    "spmv-crs": partial(m.spmv_ddg, "crs", n=24),
+    "spmv-ellpack": partial(m.spmv_ddg, "ellpack", n=24),
+    "stencil": partial(m.stencil2d_ddg, width=10, height=6),
+    "stencil3d": partial(m.stencil3d_ddg, side=5),
+    "gemm": partial(m.gemm_ddg, n=6),
+    "md": partial(m.md_ddg, n=12, k=4),
+    "viterbi": partial(m.viterbi_ddg, n_states=8, n_steps=4),
+    "fft": partial(m.fft_ddg, n=16),
+    "nw": partial(m.nw_ddg, length=8),
+    "backprop": partial(m.backprop_ddg, n_in=8, n_out=6),
+}
+
+
+def test_small_ddgs_cover_every_kernel():
+    assert set(SMALL_DDGS) == set(m.MACHSUITE)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DDGS))
+def test_kernel_sweep_selects_same_design(name, monkeypatch):
+    ddg = SMALL_DDGS[name]()
+    base = m.MACHSUITE[name][3]()
+    fast = explore_design_space(ddg, base=base)
+    monkeypatch.setattr(dse, "schedule_ddg", reference_schedule_ddg)
+    slow = explore_design_space(ddg, base=base)
+    assert [(p.design, p.cycles, p.power_mw, p.area_mm2) for p in fast] == [
+        (p.design, p.cycles, p.power_mw, p.area_mm2) for p in slow]
+    targets = sorted({p.cycles for p in slow}) + [1, 2 * max(p.cycles for p in slow)]
+    for target in targets:
+        assert (select_iso_performance(fast, target).design.label()
+                == select_iso_performance(slow, target).design.label())
 
 
 class TestPowerArea:
