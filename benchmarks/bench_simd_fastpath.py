@@ -1,19 +1,25 @@
-"""Fast-path vs slow-path simulator throughput (BENCH_sim_throughput).
+"""Simulator throughput per mode (BENCH_sim_throughput).
 
-Measures wall-clock speedup of the batched fast path
-(docs/PERFORMANCE.md) over the per-cycle slow path on the Figure 4/6
-timeline workloads: the dot-product stream program and the DNN classifier
-layer (scaled up so each run takes long enough to time reliably).  Both
-modes must produce bit-identical stats — this file re-asserts that before
-trusting any timing.
+Measures simulated cycles, wall-clock time and simulated cycles per second
+of the batched fast path (docs/PERFORMANCE.md) and of the per-cycle slow
+path on the Figure 4/6 timeline workloads — the dot-product stream program
+and the DNN classifier layer, scaled up so each run takes long enough to
+time reliably — and on all 21 golden workloads of
+``tests/test_golden_stats.py`` (every MachSuite kernel and DNN layer).
+Both modes must produce bit-identical stats — this file re-asserts that
+before trusting any timing.
 
 Runs two ways:
 
 * ``pytest benchmarks/bench_simd_fastpath.py`` — records the table next
-  to the other figure benchmarks;
+  to the other figure benchmarks (and leaves the committed JSON alone);
 * ``python benchmarks/bench_simd_fastpath.py --check 1.5`` — CI mode:
   writes ``BENCH_sim_throughput.json`` and exits non-zero if the DNN
   classifier speedup drops below the threshold.
+
+``--baseline OLD.json`` takes an earlier report of this script (say, run
+on the parent commit) and writes each workload's rows as ``parent`` and
+``change`` columns, with the fast path's cycles/s ratio between them.
 """
 
 import argparse
@@ -30,9 +36,10 @@ from repro.core.dfg import parse_dfg
 from repro.core.isa import StreamProgram
 from repro.sim import MemorySystem, run_program
 from repro.sim.softbrain import SoftbrainParams
-from repro.workloads.common import write_words
-from repro.workloads.dnn import build_classifier
+from repro.workloads.common import run_and_verify, write_words
+from repro.workloads.dnn import DNN_LAYERS, build_classifier, build_dnn_layer
 from repro.workloads.dnn.layers import ClassifierLayer
+from repro.workloads.machsuite import MACHSUITE
 
 #: the workload the CI gate applies to
 GATED_WORKLOAD = "dnn-classifier"
@@ -78,10 +85,29 @@ def _classifier_case():
     return run
 
 
+def _golden_case(build):
+    """A golden-stats workload (same builders and names as the tests)."""
+
+    def case():
+        return lambda params: run_and_verify(build(), params=params)
+
+    return case
+
+
 WORKLOADS = {
     "fig4-dotprod": _dot_product_case,
     GATED_WORKLOAD: _classifier_case,
 }
+#: the Figure 4/6 timeline workloads (the golden ones follow)
+TIMELINE_WORKLOADS = tuple(WORKLOADS)
+WORKLOADS.update(
+    (f"machsuite-{name}", _golden_case(entry[0]))
+    for name, entry in MACHSUITE.items()
+)
+WORKLOADS.update(
+    (f"dnn-{layer.name}", _golden_case(lambda layer=layer: build_dnn_layer(layer)))
+    for layer in DNN_LAYERS
+)
 
 
 def _time_mode(run, fast: bool):
@@ -115,22 +141,42 @@ def measure():
 
 
 def render(rows) -> str:
-    header = (f"{'workload':<16} {'cycles':>8} {'slow s':>8} "
-              f"{'fast s':>8} {'speedup':>8}")
+    header = (f"{'workload':<22} {'cycles':>8} {'slow s':>8} "
+              f"{'fast s':>8} {'speedup':>8} {'slow c/s':>9} {'fast c/s':>9}")
     lines = [header, "-" * len(header)]
     for name, row in rows.items():
         lines.append(
-            f"{name:<16} {row['cycles']:>8} {row['slow_seconds']:>8.3f} "
-            f"{row['fast_seconds']:>8.3f} {row['speedup']:>7.2f}x")
+            f"{name:<22} {row['cycles']:>8} {row['slow_seconds']:>8.3f} "
+            f"{row['fast_seconds']:>8.3f} {row['speedup']:>7.2f}x "
+            f"{row['slow_cycles_per_second']:>9} "
+            f"{row['fast_cycles_per_second']:>9}")
     return "\n".join(lines)
 
 
-def emit(rows, path: pathlib.Path) -> None:
+def compare(baseline, rows):
+    """Per workload: the baseline's row as ``parent``, this run's as
+    ``change``, and the fast path's cycles/s ratio change/parent."""
+    table = {}
+    for name, row in rows.items():
+        parent = baseline.get(name)
+        entry = {"parent": parent, "change": row}
+        if parent is not None:
+            if parent["cycles"] != row["cycles"]:
+                raise ValueError(
+                    f"{name}: simulated cycles differ from the baseline")
+            entry["fast_cps_ratio"] = round(
+                row["fast_cycles_per_second"]
+                / parent["fast_cycles_per_second"], 3)
+        table[name] = entry
+    return table
+
+
+def emit(rows, path: pathlib.Path, baseline=None) -> None:
     path.write_text(json.dumps({
         "bench": "sim_throughput",
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "rounds": ROUNDS,
-        "workloads": rows,
+        "workloads": rows if baseline is None else compare(baseline, rows),
     }, indent=1) + "\n")
 
 
@@ -138,11 +184,12 @@ def test_fastpath_speedup(benchmark):
     from conftest import record
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    # The table goes to the session's results file; the committed JSON
+    # record is written only by the script (see main).
     record("Fast-path throughput (BENCH_sim_throughput)", render(rows))
-    emit(rows, pathlib.Path(__file__).parent.parent
-         / "BENCH_sim_throughput.json")
-    for name, row in rows.items():
-        assert row["speedup"] > 1.0, f"{name}: fast path slower than slow"
+    for name in TIMELINE_WORKLOADS:
+        assert rows[name]["speedup"] > 1.0, (
+            f"{name}: fast path slower than slow")
 
 
 def main() -> int:
@@ -151,10 +198,17 @@ def main() -> int:
                         help=f"fail unless {GATED_WORKLOAD} speedup >= X")
     parser.add_argument("--out", default="BENCH_sim_throughput.json",
                         help="where to write the JSON report")
+    parser.add_argument("--baseline", default=None, metavar="OLD.json",
+                        help="earlier report whose rows become the "
+                             "parent column")
     args = parser.parse_args()
+    baseline = None
+    if args.baseline is not None:
+        report = json.loads(pathlib.Path(args.baseline).read_text())
+        baseline = report["workloads"]
     rows = measure()
     print(render(rows))
-    emit(rows, pathlib.Path(args.out))
+    emit(rows, pathlib.Path(args.out), baseline)
     print(f"report written to {args.out}")
     if args.check is not None:
         got = rows[GATED_WORKLOAD]["speedup"]

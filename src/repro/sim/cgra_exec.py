@@ -30,22 +30,52 @@ from ..trace import TraceEvent
 from .vector_port import VectorPortState
 
 
+#: ops whose lane result, wrapped to the lane width, depends only on the
+#: operands' low lane bits (two's-complement ring and bitwise ops), so
+#: their closures skip sign extension
+WRAPPING_OPS = frozenset({"add", "sub", "mul", "and", "or", "xor"})
+
+#: horizontal reductions over a word's signed lanes, by op name
+HORIZONTAL_OPS = {"hadd": sum, "hmin": min, "hmax": max}
+
+
 def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
     """Specialise one DFG step into a closure (fast path only).
 
     The closures replicate :meth:`Operation.evaluate` /
     :func:`accumulate_combine` arithmetic exactly — same ``to_signed`` /
     ``from_signed`` lane math — just without per-call validation, lane
-    splitting into lists, or operand-list allocation.  Bit-identical
-    output is enforced by tests/test_property_fastpath.py.
+    splitting into lists, or operand-list allocation.  For
+    :data:`WRAPPING_OPS` the sign extension is skipped, since it cannot
+    change the wrapped result, and ``add`` adds all lanes at once
+    (carries stopped at each lane's top bit, which is then set by XOR).
+    :data:`HORIZONTAL_OPS` reduce the signed lanes inline.
+    Bit-identical output is enforced by tests/test_property_fastpath.py
+    and tests/test_sim_hotloop.py.
     """
     lane_mask = (1 << lane_bits) - 1
     sign = 1 << (lane_bits - 1)
     shifts = tuple(range(0, WORD_BITS, lane_bits))
+    high = sum(sign << shift for shift in shifts)  # every lane's top bit
+    low = WORD_MASK ^ high
 
     if acc_slot >= 0:
-        combine = get_operation(ACCUMULATOR_OPS[op.name]).lane_fn
+        combine_name = ACCUMULATOR_OPS[op.name]
+        combine = get_operation(combine_name).lane_fn
         (value_const, value_ref), (reset_const, reset_ref) = operand_spec
+
+        if combine_name == "add":
+
+            def step(values, state):
+                value = value_ref if value_const else values[value_ref]
+                reset = reset_ref if reset_const else values[reset_ref]
+                current = state[acc_slot]
+                word = ((current & low) + (value & low)) ^ (
+                    (current ^ value) & high)
+                values[out_idx] = word
+                state[acc_slot] = identity if reset else word
+
+            return step
 
         def step(values, state):
             value = value_ref if value_const else values[value_ref]
@@ -63,6 +93,19 @@ def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
         return step
 
     fn = op.lane_fn
+    reduce = HORIZONTAL_OPS.get(op.name)
+    if reduce is not None:
+        (const0, ref0), = operand_spec
+
+        def step(values, state):
+            word0 = (ref0 if const0 else values[ref0]) & WORD_MASK
+            values[out_idx] = reduce([
+                (((word0 >> shift) & lane_mask) ^ sign) - sign
+                for shift in shifts
+            ]) & WORD_MASK
+
+        return step
+
     if op.whole_word:
 
         def step(values, state):
@@ -88,6 +131,39 @@ def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
 
     if len(operand_spec) == 2:
         (const0, ref0), (const1, ref1) = operand_spec
+
+        if op.name == "add":
+
+            def step(values, state):
+                word0 = ref0 if const0 else values[ref0]
+                word1 = ref1 if const1 else values[ref1]
+                values[out_idx] = ((word0 & low) + (word1 & low)) ^ (
+                    (word0 ^ word1) & high)
+
+            return step
+
+        if op.name in WRAPPING_OPS:
+            if lane_bits == WORD_BITS:
+
+                def step(values, state):
+                    word0 = ref0 if const0 else values[ref0]
+                    word1 = ref1 if const1 else values[ref1]
+                    values[out_idx] = fn(word0, word1) & WORD_MASK
+
+                return step
+
+            def step(values, state):
+                word0 = ref0 if const0 else values[ref0]
+                word1 = ref1 if const1 else values[ref1]
+                word = 0
+                for shift in shifts:
+                    word |= (
+                        fn((word0 >> shift) & lane_mask,
+                           (word1 >> shift) & lane_mask) & lane_mask
+                    ) << shift
+                values[out_idx] = word
+
+            return step
 
         def step(values, state):
             word0 = (ref0 if const0 else values[ref0]) & WORD_MASK
@@ -157,6 +233,8 @@ class CompiledDfg:
                 (inst.op, inst.lane_bits, tuple(operand_spec), out_idx, acc_slot)
             )
         self.num_values = len(index)
+        #: initial values of the non-input slots (input lanes come first)
+        self._zeros = [0] * (self.num_values - self.num_inputs)
 
         self.output_slots: List[Tuple[str, List[int]]] = [
             (name, [index[(ref.node, ref.lane)] for ref in port.sources])
@@ -181,16 +259,22 @@ class CompiledDfg:
         self, inputs: Dict[str, List[int]], state: List[int]
     ) -> Dict[str, List[int]]:
         """Execute one instance; mutates accumulator ``state`` in place."""
-        values = [0] * self.num_values
-        for port_name, lane, idx in self.input_slots:
-            values[idx] = inputs[port_name][lane]
+        words = [inputs[name][lane] for name, lane, _ in self.input_slots]
+        outputs = self.fire(words, state)
+        return {
+            name: out for (name, _), out in zip(self.output_slots, outputs)
+        }
+
+    def fire(self, words: List[int], state: List[int]) -> List[List[int]]:
+        """:meth:`run` on flat lists: ``words`` holds the input lanes in
+        ``input_slots`` order (consumed as the value array) and the result
+        is each output port's words in ``output_slots`` order."""
+        values = words
+        values.extend(self._zeros)
         if self._fast_steps is not None:
             for step in self._fast_steps:
                 step(values, state)
-            return {
-                name: [values[i] for i in slots]
-                for name, slots in self.output_slots
-            }
+            return [[values[i] for i in slots] for _, slots in self.output_slots]
         for op, lane_bits, operand_spec, out_idx, acc_slot in self.steps:
             operands = [
                 const if is_const else values[const]
@@ -207,9 +291,7 @@ class CompiledDfg:
                 )
             else:
                 values[out_idx] = op.evaluate(operands, lane_bits)
-        return {
-            name: [values[i] for i in slots] for name, slots in self.output_slots
-        }
+        return [[values[i] for i in slots] for _, slots in self.output_slots]
 
 
 class CgraExecutor:
@@ -252,50 +334,50 @@ class CgraExecutor:
 
     def can_fire(self) -> Tuple[bool, str]:
         for _, width, port in self.inputs:
-            if port.occupancy < width:
+            if len(port.fifo) < width:
                 return False, "input"
         for _, width, port in self.outputs:
-            if port.free_words < width:
+            if port.capacity_words - len(port.fifo) - port.reserved < width:
                 return False, "output"
         return True, ""
 
     def tick(self, cycle: int) -> bool:
         """Fire at most one instance (II = 1)."""
-        ok, why = self.can_fire()
-        sink = self.sim.trace
-        if not ok:
-            # Only count stalls while there is actually upstream data;
-            # the cgra.stall emissions mirror the counters one-for-one.
-            if why == "output":
+        # can_fire(), inlined: this runs every cycle a config is loaded.
+        inputs = self.inputs
+        for _, width, port in inputs:
+            if len(port.fifo) < width:
+                return self._stall_no_input(cycle)
+        for _, width, port in self.outputs:
+            if port.capacity_words - len(port.fifo) - port.reserved < width:
                 self.sim.stats.cgra_stall_no_output_room += 1
+                sink = self.sim.trace
                 if sink.enabled:
                     sink.emit(TraceEvent(
                         "cgra.stall", cycle, self.sim.unit, "cgra",
                         {"cause": "no_output_room"},
                     ))
-            elif any(port.occupancy for _, _, port in self.inputs):
-                self.sim.stats.cgra_stall_no_input += 1
-                if sink.enabled:
-                    sink.emit(TraceEvent(
-                        "cgra.stall", cycle, self.sim.unit, "cgra",
-                        {"cause": "no_input"},
-                    ))
-            return False
-        inputs = {
-            name: port.pop_words(width) for name, width, port in self.inputs
-        }
-        results = self.compiled.run(inputs, self.state)
+                return False
+        sink = self.sim.trace
+        words: List[int] = []
+        for _, width, port in inputs:
+            words += port.pop_words(width)
+        results = self.compiled.fire(words, self.state)
+        outputs = self.outputs
         injector = self.sim.faults
         if injector is not None and cycle >= injector.cgra_at:
-            injector.flip_cgra_output(cycle, results)
-        for name, width, port in self.outputs:
+            # the dict shares the result lists, so a flip lands in them
+            injector.flip_cgra_output(cycle, {
+                name: out for (name, _, _), out in zip(outputs, results)
+            })
+        for _, width, port in outputs:
             port.reserve(width)
         self.in_flight += 1
         done = cycle + self.config.latency
 
         def deliver() -> None:
-            for name, width, port in self.outputs:
-                port.push(results[name])
+            for (_, _, port), out in zip(outputs, results):
+                port.push(out)
             self.in_flight -= 1
 
         self.sim.schedule(done, deliver)
@@ -307,3 +389,19 @@ class CgraExecutor:
                  "fu": self.fu_ops_per_instance},
             ))
         return True
+
+    def _stall_no_input(self, cycle: int) -> bool:
+        """An input lacks a full instance.  Only count the stall while
+        there is actually upstream data; the ``cgra.stall`` emissions
+        mirror the counter one-for-one."""
+        for _, _, port in self.inputs:
+            if port.fifo:
+                self.sim.stats.cgra_stall_no_input += 1
+                sink = self.sim.trace
+                if sink.enabled:
+                    sink.emit(TraceEvent(
+                        "cgra.stall", cycle, self.sim.unit, "cgra",
+                        {"cause": "no_input"},
+                    ))
+                break
+        return False

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ..core.isa.commands import Command
 from ..core.isa.program import HostCompute, ProgramItem
 
 
@@ -24,6 +23,14 @@ class ControlCore:
     def __init__(self, sim: "SoftbrainSim", items: List[ProgramItem]) -> None:  # noqa: F821
         self.sim = sim
         self.items = items
+        self._end = len(items)
+        #: per item: True for ``host()`` compute, False for a command
+        self._is_host = [isinstance(item, HostCompute) for item in items]
+        #: per item: cycles it occupies the issue stage
+        self._cost = [
+            item.cycles if host else item.instruction_count
+            for item, host in zip(items, self._is_host)
+        ]
         self.pc = 0
         self._cycles_into_item = 0
         self.stall_cycles = 0
@@ -31,22 +38,21 @@ class ControlCore:
 
     @property
     def finished(self) -> bool:
-        return self.pc >= len(self.items)
+        return self.pc >= self._end
 
     def tick(self, cycle: int) -> bool:
         """Advance one cycle; returns True if the core made progress."""
-        if self.finished:
+        pc = self.pc
+        if pc >= self._end:
             return False
-        item = self.items[self.pc]
-        if isinstance(item, HostCompute):
+        cost = self._cost[pc]
+        if self._is_host[pc]:
             self._cycles_into_item += 1
             self.instructions_executed += 1
-            if self._cycles_into_item >= item.cycles:
+            if self._cycles_into_item >= cost:
                 self.pc += 1
                 self._cycles_into_item = 0
             return True
-        assert isinstance(item, Command)
-        cost = item.instruction_count
         if self._cycles_into_item + 1 < cost:
             self._cycles_into_item += 1
             self.instructions_executed += 1
@@ -55,11 +61,12 @@ class ControlCore:
         if not self.sim.dispatcher.can_enqueue():
             self.stall_cycles += 1
             return False
+        item = self.items[pc]
         injector = self.sim.faults
-        if injector is not None and self.pc >= injector.cmd_at:
+        if injector is not None and pc >= injector.cmd_at:
             # cmd.illegal faults mangle the encoded command word here, at
             # the core/dispatcher boundary (may raise IllegalCommandError)
-            item = injector.mangle_command(self.pc, item)
+            item = injector.mangle_command(pc, item)
         self.instructions_executed += 1
         self.sim.dispatcher.enqueue(item, cycle)
         self.pc += 1

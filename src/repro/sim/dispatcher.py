@@ -17,7 +17,7 @@ it is anywhere in the queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.isa.commands import (
     Command,
@@ -34,6 +34,18 @@ from .stats import CommandTrace
 #: command-queue capacity between core and dispatcher
 COMMAND_QUEUE_DEPTH = 16
 
+#: queued-command kinds recorded at enqueue (see ``Dispatcher.facts``)
+STREAM, CONFIG, BARRIER = 0, 1, 2
+
+PortKey = Tuple[str, int, str]  # (port kind, port id, role)
+
+
+def port_keys(command: Command) -> FrozenSet[PortKey]:
+    """The ``(kind, port_id, role)`` scoreboard keys ``command`` occupies."""
+    return frozenset(
+        (port.kind, port.port_id, role) for port, role in port_uses(command)
+    )
+
 
 class Dispatcher:
     """Issue logic with vector-port and stream-engine scoreboards.
@@ -47,8 +59,25 @@ class Dispatcher:
     def __init__(self, sim: "SoftbrainSim") -> None:  # noqa: F821
         self.sim = sim
         self.queue: Deque[CommandTrace] = deque()
-        self.busy_ports: Dict[Tuple[str, int], int] = {}
+        self.busy_ports: Dict[PortKey, int] = {}
         self.issued_total = 0
+        # Derived queue state, updated at enqueue and dispatch only (the
+        # scan reads it every cycle instead of re-deriving it):
+        #: per queued command, keyed by timeline index: its kind, the
+        #: frozen set of ``(kind, port_id, role)`` keys it occupies, its
+        #: target engine (None for barriers) and its trace
+        self.facts: Dict[
+            int, Tuple[int, FrozenSet[PortKey], object, CommandTrace]
+        ] = {}
+        #: queued ``SD_Barrier_All`` commands (they stall enqueue)
+        self.barrier_alls = 0
+        #: per port key, the queued timeline indices using it, oldest first
+        self.users: Dict[PortKey, Deque[int]] = {}
+        #: ascending timeline indices the scan visits: every queued barrier
+        #: and config, and each stream that is the oldest queued user of
+        #: all its port keys.  Any other stream waits behind an earlier
+        #: same-port command whatever the scoreboards say.
+        self.scan: List[int] = []
         # Fast-path scan cache: a full scan that issued nothing is valid
         # until sim.dispatch_version changes (enqueue / port release /
         # stream completion / config apply).  "quiesce" verdicts also
@@ -61,11 +90,7 @@ class Dispatcher:
     # -- core-facing interface ---------------------------------------------------
 
     def can_enqueue(self) -> bool:
-        if len(self.queue) >= COMMAND_QUEUE_DEPTH:
-            return False
-        return not any(
-            isinstance(t.command, SDBarrierAll) for t in self.queue
-        )
+        return len(self.queue) < COMMAND_QUEUE_DEPTH and not self.barrier_alls
 
     def enqueue(self, command: Command, cycle: int) -> Optional[CommandTrace]:
         """Enqueue ``command``; returns ``None`` when the queue is not
@@ -76,6 +101,26 @@ class Dispatcher:
             return None
         trace = self.sim.timeline.note_enqueue(command, cycle)
         self.queue.append(trace)
+        if is_barrier(command):
+            kind, engine = BARRIER, None
+            if isinstance(command, SDBarrierAll):
+                self.barrier_alls += 1
+        else:
+            kind = CONFIG if isinstance(command, SDConfig) else STREAM
+            engine = self.sim.engines[command.engine]
+        index = trace.index
+        ports = port_keys(command)
+        self.facts[index] = (kind, ports, engine, trace)
+        oldest = True
+        for key in ports:
+            users = self.users.get(key)
+            if users is None:
+                self.users[key] = deque((index,))
+            else:
+                oldest = False
+                users.append(index)
+        if oldest:
+            self.scan.append(index)  # the newest index: stays sorted
         self.sim.dispatch_version += 1
         sink = self.sim.trace
         if sink.enabled:
@@ -100,7 +145,9 @@ class Dispatcher:
         ports are free may issue past an earlier stalled stream on other
         ports (Section 4.2's scoreboard — without this, the paper's own
         Figure 6 command sequence would deadlock on the reset-constant /
-        clean pair).  Barriers order everything behind them.
+        clean pair).  Barriers order everything behind them.  A stream
+        sharing a port key with an earlier queued command can never issue
+        first, so the scan visits only :attr:`scan`'s entries.
         """
         if not self.queue:
             return False
@@ -116,44 +163,49 @@ class Dispatcher:
                 return False
 
         self._used_quiesce = False
-        blocked: Set[Tuple[str, int]] = set()
-        for position, trace in enumerate(self.queue):
-            command = trace.command
+        queue = self.queue
+        facts = self.facts
+        busy = self.busy_ports.keys()
+        for index in self.scan:
+            kind, ports, engine, trace = facts[index]
 
-            if is_barrier(command):
+            if kind == BARRIER:
                 sink = self.sim.trace
-                if position == 0 and self._barrier_met(command):
-                    self.queue.popleft()
+                at_head = queue[0] is trace
+                if at_head and self._barrier_met(trace.command):
+                    queue.popleft()
+                    self._forget(index)
                     trace.dispatched = cycle
                     trace.completed = cycle
                     if sink.enabled:
                         self._trace_barrier_release(sink, trace, cycle)
                     return True
-                if sink.enabled and position == 0:
+                if sink.enabled and at_head:
                     sink.emit(TraceEvent(
                         "barrier.wait", cycle, self.sim.unit, "dispatcher",
                         {"index": trace.index, "command": trace.label},
                     ))
                 return self._blocked()  # nothing may pass a pending barrier
 
-            if isinstance(command, SDConfig) and not self._resources_free(command):
-                return self._blocked()  # nothing passes a reconfiguration
-
-            ports = {
-                (p.kind, p.port_id, role) for p, role in port_uses(command)
-            }
-            if ports & blocked:
-                blocked |= ports  # later same-port streams must also wait
+            if kind == CONFIG:
+                if not self._config_ready(engine):
+                    return self._blocked()  # nothing passes a reconfiguration
+            elif (
+                len(engine.streams) >= engine.table_size
+                or not busy.isdisjoint(ports)
+            ):
                 continue
-            if not self._resources_free(command):
-                blocked |= ports
-                continue
-            blocked |= ports  # even if issued, later same-port cmds wait
 
-            del self.queue[position]
+            for position, queued in enumerate(queue):
+                if queued is trace:
+                    del queue[position]
+                    break
+            self._forget(index)
             trace.dispatched = cycle
+            busy_ports = self.busy_ports
             for key in ports:
-                self.busy_ports[key] = self.busy_ports.get(key, 0) + 1
+                busy_ports[key] = busy_ports.get(key, 0) + 1
+            command = trace.command
             sink = self.sim.trace
             if sink.enabled:
                 sink.emit(TraceEvent(
@@ -167,6 +219,32 @@ class Dispatcher:
             self.sim.stats.commands_issued += 1
             return True
         return self._blocked()
+
+    def _forget(self, index: int) -> None:
+        """Drop a dispatched command's derived queue state.  It was the
+        oldest user of each of its port keys; the next user of a key joins
+        the scan once it is the oldest user of all its own keys."""
+        kind, ports, _, trace = self.facts.pop(index)
+        self.scan.remove(index)
+        if kind == BARRIER and isinstance(trace.command, SDBarrierAll):
+            self.barrier_alls -= 1
+        users = self.users
+        successors = []
+        for key in ports:
+            queued = users[key]
+            queued.popleft()
+            if queued:
+                successors.append(queued[0])
+            else:
+                del users[key]
+        scan = self.scan
+        for successor in successors:
+            if successor not in scan and all(
+                users[key][0] == successor
+                for key in self.facts[successor][1]
+            ):
+                scan.append(successor)
+                scan.sort()  # at most 16 entries
 
     def _blocked(self) -> bool:
         """Record that a full scan issued nothing (fast-path cache)."""
@@ -190,19 +268,14 @@ class Dispatcher:
             dict(common, latency=0),
         ))
 
-    def _resources_free(self, command: Command) -> bool:
-        engine = self.sim.engines[command.engine]
-        if not engine.has_free_slot():
+    def _config_ready(self, engine) -> bool:
+        """Reconfiguration needs a stream-table slot and must wait until
+        the whole unit quiesces: the port mapping and datapath are about
+        to change."""
+        if len(engine.streams) >= engine.table_size:
             return False
-        for port, role in port_uses(command):
-            if self.busy_ports.get((port.kind, port.port_id, role), 0):
-                return False
-        if isinstance(command, SDConfig):
-            # Reconfiguration must wait until the whole unit quiesces: the
-            # port mapping and datapath are about to change.
-            self._used_quiesce = True
-            return self.sim.quiesced()
-        return True
+        self._used_quiesce = True
+        return self.sim.quiesced()
 
     def _barrier_met(self, command: Command) -> bool:
         if isinstance(command, SDBarrierScratchRd):

@@ -19,7 +19,7 @@ keeps its historical :class:`ValueError` parentage.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 
 class SimError(RuntimeError):
@@ -67,9 +67,22 @@ class ScratchpadError(SimError, ValueError):
 
 
 class ConfigError(SimError):
-    """A CGRA configuration load failed (missing image, wrong fabric)."""
+    """A CGRA configuration load failed (missing image, wrong fabric), or
+    a machine parameter is illegal (raised at construction)."""
 
     kind = "config"
+
+
+def check_lower_bounds(params: object, bounds: Dict[str, int]) -> None:
+    """Raise :class:`ConfigError` for the first field of ``params`` that is
+    below its bound in ``bounds`` (field name -> least legal value)."""
+    for name, least in bounds.items():
+        value = getattr(params, name)
+        if value < least:
+            raise ConfigError(
+                f"{type(params).__name__}.{name} must be >= {least}, "
+                f"got {value!r}"
+            )
 
 
 class StreamTableError(SimError):

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from ..core.isa.patterns import LINE_BYTES
 from ..trace import NULL_SINK, SHARED_UNIT, TraceEvent, TraceSink
-from .errors import MemoryProtocolError
+from .errors import MemoryProtocolError, check_lower_bounds
 
 _PAGE_BITS = 12
 _PAGE_BYTES = 1 << _PAGE_BITS
@@ -30,6 +30,8 @@ class MemoryParams:
     with a 64 B/cycle interface, and DRAM sustaining one line per
     ``dram_gap_cycles`` (4 -> 16 B/cycle, roughly half a DDR3 channel at
     1 GHz, matching the memory-bandwidth-sensitivity the DNN results show).
+    Illegal values raise :class:`~repro.sim.errors.ConfigError` at
+    construction.
     """
 
     l2_size_bytes: int = 2 * 1024 * 1024
@@ -37,6 +39,16 @@ class MemoryParams:
     dram_latency: int = 90
     dram_gap_cycles: int = 4
     accepts_per_cycle: int = 1
+
+    def __post_init__(self) -> None:
+        # Zero latencies are legal (an ideal memory); negative ones are not.
+        check_lower_bounds(self, {
+            "l2_size_bytes": LINE_BYTES,
+            "l2_hit_latency": 0,
+            "dram_latency": 0,
+            "dram_gap_cycles": 0,
+            "accepts_per_cycle": 1,
+        })
 
 
 class BackingStore:

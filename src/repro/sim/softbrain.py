@@ -44,19 +44,23 @@ from ..cgra.fabric import Fabric, dnn_provisioned
 from ..core.isa.commands import (
     Command,
     PortRef,
-    SDBarrierAll,
     SDConfig,
     SDMemScratch,
     SDPortScratch,
     SDScratchPort,
-    port_uses,
 )
 from ..core.isa.program import StreamProgram
 from ..trace import NULL_SINK, TraceEvent, TraceSink
 from .cgra_exec import CgraExecutor
 from .control_core import ControlCore
 from .dispatcher import Dispatcher
-from .errors import ConfigError, SimError, SimulationDeadlock, SimulationLimit
+from .errors import (
+    ConfigError,
+    SimError,
+    SimulationDeadlock,
+    SimulationLimit,
+    check_lower_bounds,
+)
 from .memory import MemorySystem
 from .scratchpad import Scratchpad
 from .stats import SimStats, Timeline
@@ -78,6 +82,7 @@ class SoftbrainParams:
     Section 4: the memory read engine's *balance unit* (deadlock avoidance
     and fairness across vector ports) and the dispatcher's
     *all-requests-in-flight* port state (overlapping same-port streams).
+    Illegal values raise :class:`ConfigError` at construction.
     """
 
     scratch_bytes: int = 4096
@@ -94,6 +99,14 @@ class SoftbrainParams:
     #: tests/test_golden_stats.py and tests/test_property_fastpath.py).
     #: Automatically disabled while tracing or fault injection is active.
     fast_path: bool = True
+
+    def __post_init__(self) -> None:
+        check_lower_bounds(self, {
+            "scratch_bytes": 1,
+            "stream_table_size": 1,
+            "max_cycles": 0,
+            "trace_sample_interval": 1,
+        })
 
 
 @dataclass
@@ -230,8 +243,8 @@ class SoftbrainSim:
         elif isinstance(command, (SDPortScratch, SDMemScratch)):
             self.outstanding["scratch_wr"] -= 1
         if not stream.early_released:
-            for port, role in port_uses(command):
-                self.dispatcher.release_port(port.kind, port.port_id, role)
+            for kind, port_id, role in stream.port_keys:
+                self.dispatcher.release_port(kind, port_id, role)
 
     def apply_config(self, address: int) -> None:
         image = self.program.config_images.get(address)
@@ -267,9 +280,7 @@ class SoftbrainSim:
         queued command targets one of ``engines``.
         """
         queue = self.dispatcher.queue
-        if not self.core.finished and not any(
-            isinstance(t.command, SDBarrierAll) for t in queue
-        ):
+        if not self.core.finished and not self.dispatcher.barrier_alls:
             return False
         for trace in queue:
             if trace.command.engine in engines:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..core.isa.commands import (
     Command,
-    PortRef,
     SDCleanPort,
     SDConfig,
     SDConstPort,
@@ -71,6 +70,15 @@ class ActiveStream:
     issued_all: bool = False
     #: ports already released to the dispatcher (all-requests-in-flight)
     early_released: bool = False
+    #: scoreboard keys ``(kind, port_id, role)`` and written ports
+    #: ``(kind, port_id)`` of ``command``, recorded at accept
+    port_keys: Tuple[Tuple[str, int, str], ...] = ()
+    write_keys: Tuple[Tuple[str, int], ...] = ()
+    #: runtime state of the command's ``source`` / ``dest`` /
+    #: ``index_port`` vector ports (None where it has none), from accept
+    source_port: Optional[VectorPortState] = None
+    dest_port: Optional[VectorPortState] = None
+    index_port: Optional[VectorPortState] = None
 
     def advance_request(self) -> None:
         """Pop the next line request from the pattern iterator."""
@@ -91,6 +99,9 @@ class StreamEngineBase:
         self.sim = sim
         self.table_size = table_size
         self.streams: List[ActiveStream] = []
+        #: earliest stream per written port (see :meth:`_delivery_owners`),
+        #: rebuilt whenever the stream table changes
+        self.owners: Dict[Tuple[str, int], ActiveStream] = {}
         self._rr = 0  # round-robin pointer for fair selection
         # Fast-path burst window (docs/PERFORMANCE.md): while
         # ``cycle < _burst_until`` the engine has already pre-issued the
@@ -108,7 +119,21 @@ class StreamEngineBase:
     def accept(self, command: Command, trace: CommandTrace) -> None:
         if not self.has_free_slot():
             raise StreamTableError(f"{self.name}: stream table full")
-        self.streams.append(self._make_stream(command, trace))
+        stream = self._make_stream(command, trace)
+        uses = port_uses(command)
+        stream.port_keys = tuple(
+            (port.kind, port.port_id, role) for port, role in uses
+        )
+        stream.write_keys = tuple(
+            (port.kind, port.port_id) for port, role in uses if role == "w"
+        )
+        refs = (getattr(command, attr, None)
+                for attr in ("source", "dest", "index_port"))
+        stream.source_port, stream.dest_port, stream.index_port = (
+            None if ref is None else self.sim.port_state(ref) for ref in refs
+        )
+        self.streams.append(stream)
+        self.owners = self._delivery_owners()
 
     def _make_stream(self, command: Command, trace: CommandTrace) -> ActiveStream:
         return ActiveStream(command, trace)
@@ -118,6 +143,7 @@ class StreamEngineBase:
 
     def _retire(self, stream: ActiveStream, cycle: int) -> None:
         self.streams.remove(stream)
+        self.owners = self._delivery_owners()
         self.sim.stream_completed(stream, cycle)
 
     def _note_busy(self, cycle: int, stream: ActiveStream) -> None:
@@ -136,9 +162,10 @@ class StreamEngineBase:
 
     def _fault_stalled(self, cycle: int) -> bool:
         """True while an injected ``engine.stall`` fault freezes this
-        engine; schedules a wake-up so fast-forward still works."""
+        engine; schedules a wake-up so fast-forward still works.  Callers
+        test ``sim.faults is not None`` first."""
         injector = self.sim.faults
-        if injector is None or cycle < injector.engine_stall_at:
+        if cycle < injector.engine_stall_at:
             return False
         until = injector.engine_stall_until(self.name, cycle)
         if until > cycle:
@@ -188,41 +215,34 @@ class StreamEngineBase:
             progressed = True
         return progressed
 
-    def _pending_lines(self) -> int:
-        """Outstanding request-buffer entries across this engine's streams."""
-        return sum(len(s.pending) for s in self.streams)
-
     def _maybe_early_release(self, stream: ActiveStream) -> None:
         """All-requests-in-flight (Section 4.2): once every request of a
         stream is in the memory system, release its ports for issue so the
         next same-port stream can overlap its requests with this stream's
-        remaining deliveries."""
+        remaining deliveries.  Callers check ``issued_all and not
+        early_released`` first."""
         if not self.sim.params.all_requests_in_flight:
             return
-        if stream.issued_all and not stream.early_released:
-            stream.early_released = True
-            for port, role in port_uses(stream.command):
-                self.sim.dispatcher.release_port(port.kind, port.port_id, role)
+        stream.early_released = True
+        release = self.sim.dispatcher.release_port
+        for kind, port_id, role in stream.port_keys:
+            release(kind, port_id, role)
 
     def _delivery_owners(self) -> dict:
         """Earliest stream per written port — only it may deliver,
         preserving program order across overlapped same-port streams."""
         owners: dict = {}
         for stream in self.streams:
-            for port, role in port_uses(stream.command):
-                if role != "w":
-                    continue
-                key = (port.kind, port.port_id)
-                if key not in owners:
-                    owners[key] = stream
+            for key in stream.write_keys:
+                owners.setdefault(key, stream)
         return owners
 
-    def _may_deliver(self, owners: dict, stream: ActiveStream) -> bool:
-        return all(
-            owners[(p.kind, p.port_id)] is stream
-            for p, role in port_uses(stream.command)
-            if role == "w"
-        )
+    @staticmethod
+    def _may_deliver(owners: dict, stream: ActiveStream) -> bool:
+        for key in stream.write_keys:
+            if owners[key] is not stream:
+                return False
+        return True
 
     def _burst_catchup(self, cycle: int) -> None:
         """Close a burst window whose tail was fast-forwarded over.
@@ -315,43 +335,50 @@ class MemReadEngine(StreamEngineBase):
 
     def _balance_score(self, stream: ActiveStream) -> int:
         """Balance unit: fewest queued+in-flight words at the target first."""
-        command = stream.command
-        dest: Optional[PortRef]
-        if isinstance(command, (SDMemPort, SDIndPortPort)):
-            dest = command.dest
-        else:
+        port = stream.dest_port
+        if port is None:
             return 0  # scratch/config streams have no port to unbalance
-        port = self.sim.port_state(dest)
-        return port.occupancy + port.reserved
+        return len(port.fifo) + port.reserved
 
     def tick(self, cycle: int) -> bool:
-        if self._fault_stalled(cycle):
+        sim = self.sim
+        if sim.faults is not None and self._fault_stalled(cycle):
             return False
-        self._burst_catchup(cycle)
+        if self._burst is not None:
+            self._burst_catchup(cycle)
         progressed = False
-        owners = self._delivery_owners()
-        for stream in list(self.streams):
-            if self._may_deliver(owners, stream) and self._drain_pending(
-                stream, cycle
+        streams = self.streams
+        # Ownership as of the start of the tick: a stream retiring below
+        # must not let a later same-port stream deliver in this cycle.
+        owners = None if len(streams) == 1 else self.owners
+        lines = 0  # request-buffer entries still held after the drains
+        for stream in list(streams):
+            pending = stream.pending
+            if (
+                pending and pending[0][0] <= cycle
+                and (owners is None or self._may_deliver(owners, stream))
+                and self._drain_pending(stream, cycle)
             ):
                 progressed = True
-            if stream.issued_all and not stream.pending:
+            if stream.issued_all and not pending:
                 self._retire(stream, cycle)
                 progressed = True
-            else:
+                continue
+            if stream.issued_all and not stream.early_released:
                 self._maybe_early_release(stream)
+            lines += len(pending)
 
-        virtual = self._burst_virtual(cycle, progressed)
-        if virtual is not None:
-            return virtual
-        if not self.sim.memory.can_accept(cycle):
+        if self._burst is not None:
+            return self._burst_virtual(cycle, progressed)
+        if lines >= self.BUFFER_LINES or not sim.memory.can_accept(cycle):
             return progressed
 
-        ready = [s for s in self.streams if self._can_issue(s)]
+        ready = [s for s in streams if self._can_issue(s)]
         if not ready:
             return progressed
-        if self.sim.params.balance_unit:
-            ready.sort(key=self._balance_score)
+        if sim.params.balance_unit:
+            if len(ready) > 1:
+                ready.sort(key=self._balance_score)
         else:
             ready = self._rotate(ready)
         if self._try_burst(ready[0], cycle):
@@ -393,7 +420,7 @@ class MemReadEngine(StreamEngineBase):
         store = memory.store
         count = 0
         if isinstance(command, SDMemPort):
-            port = sim.port_state(command.dest)
+            port = stream.dest_port
             signed = command.pattern.signed
             while count < cap:
                 request = stream.next_request
@@ -438,15 +465,15 @@ class MemReadEngine(StreamEngineBase):
         return True
 
     def _can_issue(self, stream: ActiveStream) -> bool:
+        """Ready to issue, given the request buffer has room (checked
+        once per tick by the caller)."""
         command = stream.command
-        if self._pending_lines() >= self.BUFFER_LINES:
-            return False
         if isinstance(command, (SDMemPort, SDMemScratch)):
             return stream.next_request is not None
         if isinstance(command, SDIndPortPort):
             if stream.elements_left <= 0:
                 return False
-            index_port = self.sim.port_state(command.index_port)
+            index_port = stream.index_port
             return index_port.occupancy > 0
         if isinstance(command, SDConfig):
             return stream.elements_left > 0
@@ -458,13 +485,12 @@ class MemReadEngine(StreamEngineBase):
         if isinstance(command, SDMemPort):
             request = stream.next_request
             assert request is not None
-            port = self.sim.port_state(command.dest)
+            port = stream.dest_port
             ready = memory.issue(cycle, request.line_addr, False, request.bytes_used)
-            signed = command.pattern.signed
-            words = [
-                memory.store.read_extended(addr, request.elem_bytes, signed)
-                for addr in request.element_addrs
-            ]
+            words = memory.store.read_elements(
+                request.element_addrs, request.elem_bytes,
+                command.pattern.signed,
+            )
             injector = self.sim.faults
             if injector is not None and cycle >= injector.mem_corrupt_at:
                 words = injector.corrupt_read(cycle, words)
@@ -486,8 +512,8 @@ class MemReadEngine(StreamEngineBase):
             stream.pending.append((ready, [], None))
             stream.advance_request()
         elif isinstance(command, SDIndPortPort):
-            index_port = self.sim.port_state(command.index_port)
-            dest = self.sim.port_state(command.dest)
+            index_port = stream.index_port
+            dest = stream.dest_port
             # Indirect AGU: coalesce up to 4 increasing same-line addresses.
             addrs: List[int] = []
             limit = min(4, index_port.occupancy, stream.elements_left)
@@ -506,10 +532,9 @@ class MemReadEngine(StreamEngineBase):
             ready = memory.issue(
                 cycle, line, False, len(addrs) * command.elem_bytes
             )
-            words = [
-                memory.store.read_extended(addr, command.elem_bytes, command.signed)
-                for addr in addrs
-            ]
+            words = memory.store.read_elements(
+                addrs, command.elem_bytes, command.signed
+            )
             injector = self.sim.faults
             if injector is not None and cycle >= injector.mem_corrupt_at:
                 words = injector.corrupt_read(cycle, words)
@@ -547,22 +572,24 @@ class MemWriteEngine(StreamEngineBase):
         return stream
 
     def tick(self, cycle: int) -> bool:
-        if self._fault_stalled(cycle):
+        if self.sim.faults is not None and self._fault_stalled(cycle):
             return False
-        self._burst_catchup(cycle)
+        if self._burst is not None:
+            self._burst_catchup(cycle)
         progressed = False
         for stream in list(self.streams):
-            if self._drain_pending(stream, cycle):
+            pending = stream.pending
+            if (pending and pending[0][0] <= cycle
+                    and self._drain_pending(stream, cycle)):
                 progressed = True
-            if stream.issued_all and not stream.pending:
+            if stream.issued_all and not pending:
                 self._retire(stream, cycle)
                 progressed = True
-            else:
+            elif stream.issued_all and not stream.early_released:
                 self._maybe_early_release(stream)
 
-        virtual = self._burst_virtual(cycle, progressed)
-        if virtual is not None:
-            return virtual
+        if self._burst is not None:
+            return self._burst_virtual(cycle, progressed)
         if not self.sim.memory.can_accept(cycle):
             return progressed
 
@@ -617,7 +644,7 @@ class MemWriteEngine(StreamEngineBase):
                 port.occupancy >= width for _, width, port in cgra.inputs
             ):
                 return False  # could fire: output room must stay exact
-        source = sim.port_state(command.source)
+        source = stream.source_port
         # Prefix of requests fully covered by words already at the port —
         # the slow path would certainly issue one per cycle (deliveries
         # only ever add words behind them).
@@ -660,13 +687,13 @@ class MemWriteEngine(StreamEngineBase):
             request = stream.next_request
             if request is None:
                 return False
-            source = self.sim.port_state(command.source)
+            source = stream.source_port
             return source.occupancy >= request.num_elements
         if isinstance(command, SDIndPortMem):
             if stream.elements_left <= 0:
                 return False
-            index_port = self.sim.port_state(command.index_port)
-            source = self.sim.port_state(command.source)
+            index_port = stream.index_port
+            source = stream.source_port
             return index_port.occupancy >= 1 and source.occupancy >= 1
         return False
 
@@ -676,7 +703,7 @@ class MemWriteEngine(StreamEngineBase):
         if isinstance(command, SDPortMem):
             request = stream.next_request
             assert request is not None
-            source = self.sim.port_state(command.source)
+            source = stream.source_port
             words = source.pop_words(request.num_elements)
             ready = memory.issue(cycle, request.line_addr, True, request.bytes_used)
             writes = list(zip(request.element_addrs, words))
@@ -691,8 +718,8 @@ class MemWriteEngine(StreamEngineBase):
             stream.advance_request()
         else:
             assert isinstance(command, SDIndPortMem)
-            index_port = self.sim.port_state(command.index_port)
-            source = self.sim.port_state(command.source)
+            index_port = stream.index_port
+            source = stream.source_port
             count = min(
                 4, index_port.occupancy, source.occupancy, stream.elements_left
             )
@@ -746,22 +773,20 @@ class ScratchEngine(StreamEngineBase):
         return stream
 
     def tick(self, cycle: int) -> bool:
-        if self._fault_stalled(cycle):
+        if self.sim.faults is not None and self._fault_stalled(cycle):
             return False
         progressed = False
         for stream in list(self.streams):
-            if self._drain_pending(stream, cycle):
+            pending = stream.pending
+            if (pending and pending[0][0] <= cycle
+                    and self._drain_pending(stream, cycle)):
                 progressed = True
-            if stream.issued_all and not stream.pending:
+            if stream.issued_all and not pending:
                 self._retire(stream, cycle)
                 progressed = True
 
         # One read-stream action per cycle.
-        reads = [
-            s
-            for s in self.streams
-            if isinstance(s.command, SDScratchPort) and self._read_ready(s)
-        ]
+        reads = [s for s in self.streams if self._read_ready(s)]
         if reads:
             chosen = self._rotate(reads)[0]
             self._issue_read(chosen, cycle)
@@ -780,18 +805,18 @@ class ScratchEngine(StreamEngineBase):
             progressed = True
         return progressed
 
-    def _read_ready(self, stream: ActiveStream) -> bool:
-        if stream.next_request is None:
-            return False
-        # A short request buffer covers the 2-cycle SRAM latency.
-        return len(stream.pending) < 4
+    @staticmethod
+    def _read_ready(stream: ActiveStream) -> bool:
+        # Only SD_Scratch_Port streams carry line requests here.  A short
+        # request buffer covers the 2-cycle SRAM latency.
+        return stream.next_request is not None and len(stream.pending) < 4
 
     def _issue_read(self, stream: ActiveStream, cycle: int) -> None:
         command = stream.command
         assert isinstance(command, SDScratchPort)
         request = stream.next_request
         assert request is not None
-        port = self.sim.port_state(command.dest)
+        port = stream.dest_port
         if self.sim.fast_path_on:  # batched variant: same stats, no trace
             words = self.sim.scratchpad.read_elements(
                 request.element_addrs, request.elem_bytes,
@@ -811,13 +836,13 @@ class ScratchEngine(StreamEngineBase):
     def _write_ready(self, stream: ActiveStream) -> bool:
         if stream.elements_left <= 0:
             return False
-        source = self.sim.port_state(stream.command.source)  # type: ignore[attr-defined]
+        source = stream.source_port
         return source.occupancy >= 1
 
     def _issue_write(self, stream: ActiveStream, cycle: int) -> None:
         command = stream.command
         assert isinstance(command, SDPortScratch)
-        source = self.sim.port_state(command.source)
+        source = stream.source_port
         max_elems = self.sim.scratchpad.width_bytes // command.elem_bytes
         count = min(max_elems, source.occupancy, stream.elements_left)
         words = source.pop_words(count)
@@ -851,7 +876,7 @@ class RecurrenceEngine(StreamEngineBase):
         return stream
 
     def tick(self, cycle: int) -> bool:
-        if self._fault_stalled(cycle):
+        if self.sim.faults is not None and self._fault_stalled(cycle):
             return False
         progressed = False
         for stream in list(self.streams):
@@ -867,33 +892,32 @@ class RecurrenceEngine(StreamEngineBase):
         self._note_busy(cycle, chosen)
         return True
 
-    def _ready(self, stream: ActiveStream) -> bool:
-        command = stream.command
+    @staticmethod
+    def _ready(stream: ActiveStream) -> bool:
+        """A word to move: SD_Const_Port has only a destination,
+        SD_Clean_Port only a source, SD_Port_Port both."""
         if stream.elements_left <= 0:
             return False
-        if isinstance(command, SDConstPort):
-            return self.sim.port_state(command.dest).free_words >= 1
-        if isinstance(command, SDCleanPort):
-            return self.sim.port_state(command.source).occupancy >= 1
-        assert isinstance(command, SDPortPort)
-        source = self.sim.port_state(command.source)
-        dest = self.sim.port_state(command.dest)
-        return source.occupancy >= 1 and dest.free_words >= 1
+        source = stream.source_port
+        if source is not None and not source.fifo:
+            return False
+        dest = stream.dest_port
+        return dest is None or dest.free_words >= 1
 
     def _issue(self, stream: ActiveStream, cycle: int) -> None:
         command = stream.command
         if isinstance(command, SDConstPort):
-            dest = self.sim.port_state(command.dest)
+            dest = stream.dest_port
             count = min(WORDS_PER_CYCLE, dest.free_words, stream.elements_left)
             dest.push([command.value] * count, reserved=False)
         elif isinstance(command, SDCleanPort):
-            source = self.sim.port_state(command.source)
+            source = stream.source_port
             count = min(WORDS_PER_CYCLE, source.occupancy, stream.elements_left)
             source.pop_words(count)
         else:
             assert isinstance(command, SDPortPort)
-            source = self.sim.port_state(command.source)
-            dest = self.sim.port_state(command.dest)
+            source = stream.source_port
+            dest = stream.dest_port
             count = min(
                 WORDS_PER_CYCLE,
                 source.occupancy,

@@ -28,14 +28,12 @@ class VectorPortState:
 
     def __init__(self, spec: HwVectorPort) -> None:
         self.spec = spec
+        #: FIFO capacity in words (the spec is immutable)
+        self.capacity_words = spec.capacity_words
         self.fifo: Deque[int] = deque()
         self.reserved = 0
         self.total_pushed = 0
         self.total_popped = 0
-
-    @property
-    def capacity_words(self) -> int:
-        return self.spec.capacity_words
 
     @property
     def occupancy(self) -> int:
@@ -54,33 +52,35 @@ class VectorPortState:
         self.reserved += nwords
 
     def push(self, words: List[int], reserved: bool = True) -> None:
+        count = len(words)
         if reserved:
-            if len(words) > self.reserved:
+            if count > self.reserved:
                 raise PortRuntimeError(
                     f"port {self.spec.direction}{self.spec.port_id}: push "
-                    f"{len(words)} exceeds reservation {self.reserved}"
+                    f"{count} exceeds reservation {self.reserved}"
                 )
-            self.reserved -= len(words)
-        elif len(words) > self.free_words:
+            self.reserved -= count
+        elif count > self.free_words:
             raise PortRuntimeError(
                 f"port {self.spec.direction}{self.spec.port_id}: push "
-                f"{len(words)} > free {self.free_words}"
+                f"{count} > free {self.free_words}"
             )
         self.fifo.extend(words)
-        self.total_pushed += len(words)
+        self.total_pushed += count
 
     def can_pop(self, nwords: int) -> bool:
         return len(self.fifo) >= nwords
 
     def pop_words(self, nwords: int) -> List[int]:
         fifo = self.fifo
-        if len(fifo) < nwords:
+        occupancy = len(fifo)
+        if occupancy < nwords:
             raise PortRuntimeError(
                 f"port {self.spec.direction}{self.spec.port_id}: pop "
-                f"{nwords} > occupancy {len(fifo)}"
+                f"{nwords} > occupancy {occupancy}"
             )
         self.total_popped += nwords
-        if nwords == len(fifo):  # common full-drain case: one bulk copy
+        if nwords == occupancy:  # common full-drain case: one bulk copy
             words = list(fifo)
             fifo.clear()
             return words

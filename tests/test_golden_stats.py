@@ -38,6 +38,14 @@ def fingerprint(result):
     }
 
 
+def golden_text(got) -> str:
+    """The golden file layout: sorted-key JSON, one timeline row
+    ``[index, enqueued, dispatched, completed]`` per line."""
+    text = json.dumps(dict(got, timeline=[]), indent=1, sort_keys=True)
+    rows = ",\n".join(f"  {json.dumps(row)}" for row in got["timeline"])
+    return text.replace('"timeline": []', f'"timeline": [\n{rows}\n ]') + "\n"
+
+
 def _machsuite_case(name):
     build = MACHSUITE[name][0]
     return lambda: build()
@@ -67,7 +75,7 @@ def test_golden_stats(name, make, update_golden):
     path = GOLDEN_DIR / f"{name}.json"
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        path.write_text(golden_text(got))
         return
     assert path.exists(), (
         f"no golden file for {name}; run pytest with --update-golden")

@@ -13,6 +13,8 @@ from repro.core.compiler import schedule
 from repro.core.dfg import DfgBuilder, parse_dfg
 from repro.core.isa import StreamProgram
 from repro.sim import (
+    ConfigError,
+    MemoryParams,
     MemorySystem,
     SimulationDeadlock,
     SoftbrainParams,
@@ -321,3 +323,45 @@ class TestDeadlockDetection:
         program.barrier_all()
         with pytest.raises(SimulationDeadlock, match="deadlock"):
             run_program(program, fabric=fabric, memory=memory)
+
+
+class TestParamValidation:
+    """Illegal machine parameters fail at construction with ConfigError,
+    not later as a deadlock, a cycle-limit error or a silently different
+    machine."""
+
+    def test_zero_accepts_per_cycle_rejected(self):
+        # used to run as if it were 1
+        with pytest.raises(ConfigError, match="accepts_per_cycle"):
+            MemoryParams(accepts_per_cycle=0)
+
+    def test_negative_l2_latency_rejected(self):
+        # used to run silently with data arriving before its request
+        with pytest.raises(ConfigError, match="l2_hit_latency"):
+            MemoryParams(l2_hit_latency=-3)
+
+    def test_empty_stream_table_rejected(self):
+        # used to surface as SimulationDeadlock at cycle 32
+        with pytest.raises(ConfigError, match="stream_table_size"):
+            SoftbrainParams(stream_table_size=0)
+
+    def test_negative_cycle_budget_rejected(self):
+        # used to raise SimulationLimit once the run started
+        with pytest.raises(ConfigError, match="max_cycles"):
+            SoftbrainParams(max_cycles=-5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dram_latency", -1), ("dram_gap_cycles", -1), ("l2_size_bytes", 63),
+    ])
+    def test_other_memory_bounds(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MemoryParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["scratch_bytes", "trace_sample_interval"])
+    def test_other_unit_bounds(self, field):
+        with pytest.raises(ConfigError, match=field):
+            SoftbrainParams(**{field: 0})
+
+    def test_zero_latencies_and_budget_stay_legal(self):
+        MemoryParams(l2_hit_latency=0, dram_latency=0, dram_gap_cycles=0)
+        SoftbrainParams(max_cycles=0)
