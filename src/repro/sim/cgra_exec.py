@@ -21,7 +21,6 @@ from ..core.dfg.instructions import (
     ACCUMULATOR_OPS,
     WORD_BITS,
     WORD_MASK,
-    accumulate_combine,
     accumulator_identity,
     get_operation,
     mask_word,
@@ -40,7 +39,7 @@ HORIZONTAL_OPS = {"hadd": sum, "hmin": min, "hmax": max}
 
 
 def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
-    """Specialise one DFG step into a closure (fast path only).
+    """Specialise one DFG step into a closure.
 
     The closures replicate :meth:`Operation.evaluate` /
     :func:`accumulate_combine` arithmetic exactly — same ``to_signed`` /
@@ -195,13 +194,12 @@ def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
 class CompiledDfg:
     """Index-flattened executor for one DFG (much faster than Dfg.execute).
 
-    With ``specialize=True`` (fast path) each step additionally gets a
-    precompiled closure; :meth:`run` then avoids the generic
-    :meth:`Operation.evaluate` machinery while producing bit-identical
-    results.
+    Each instruction becomes a precompiled closure (:func:`_compile_step`)
+    over a flat value array; :meth:`Dfg.execute` stays the reference that
+    tests/test_property_fastpath.py checks these against.
     """
 
-    def __init__(self, dfg: Dfg, specialize: bool = False) -> None:
+    def __init__(self, dfg: Dfg) -> None:
         self.dfg = dfg
         index: Dict[Tuple[str, int], int] = {}
         self.input_slots: List[Tuple[str, int, int]] = []  # (port, lane, idx)
@@ -211,8 +209,8 @@ class CompiledDfg:
                 self.input_slots.append((name, lane, index[(name, lane)]))
         self.num_inputs = len(index)
 
-        #: (operation, lane bits, operand spec, out index, acc slot or -1)
-        self.steps: List[Tuple] = []
+        #: one closure per instruction, in topological order
+        self.steps: List = []
         self.acc_identity: List[int] = []  # identity word per accumulator slot
         for inst in dfg.topological_order():
             out_idx = len(index)
@@ -224,14 +222,15 @@ class CompiledDfg:
                 else:
                     operand_spec.append((False, index[(operand.node, operand.lane)]))
             acc_slot = -1
+            identity = 0
             if inst.is_accumulator:
                 acc_slot = len(self.acc_identity)
-                self.acc_identity.append(
-                    accumulator_identity(inst.op.name, inst.lane_bits)
-                )
-            self.steps.append(
-                (inst.op, inst.lane_bits, tuple(operand_spec), out_idx, acc_slot)
-            )
+                identity = accumulator_identity(inst.op.name, inst.lane_bits)
+                self.acc_identity.append(identity)
+            self.steps.append(_compile_step(
+                inst.op, inst.lane_bits, tuple(operand_spec), out_idx,
+                acc_slot, identity,
+            ))
         self.num_values = len(index)
         #: initial values of the non-input slots (input lanes come first)
         self._zeros = [0] * (self.num_values - self.num_inputs)
@@ -240,17 +239,6 @@ class CompiledDfg:
             (name, [index[(ref.node, ref.lane)] for ref in port.sources])
             for name, port in dfg.outputs.items()
         ]
-
-        self._fast_steps = None
-        if specialize:
-            self._fast_steps = [
-                _compile_step(
-                    op, lane_bits, operand_spec, out_idx, acc_slot,
-                    self.acc_identity[acc_slot] if acc_slot >= 0 else 0,
-                )
-                for op, lane_bits, operand_spec, out_idx, acc_slot
-                in self.steps
-            ]
 
     def make_state(self) -> List[int]:
         return list(self.acc_identity)
@@ -271,26 +259,8 @@ class CompiledDfg:
         is each output port's words in ``output_slots`` order."""
         values = words
         values.extend(self._zeros)
-        if self._fast_steps is not None:
-            for step in self._fast_steps:
-                step(values, state)
-            return [[values[i] for i in slots] for _, slots in self.output_slots]
-        for op, lane_bits, operand_spec, out_idx, acc_slot in self.steps:
-            operands = [
-                const if is_const else values[const]
-                for is_const, const in operand_spec
-            ]
-            if acc_slot >= 0:
-                value, reset = operands
-                total = accumulate_combine(
-                    op.name, state[acc_slot], value, lane_bits
-                )
-                values[out_idx] = total
-                state[acc_slot] = (
-                    self.acc_identity[acc_slot] if reset else total
-                )
-            else:
-                values[out_idx] = op.evaluate(operands, lane_bits)
+        for step in self.steps:
+            step(values, state)
         return [[values[i] for i in slots] for _, slots in self.output_slots]
 
 
@@ -300,9 +270,7 @@ class CgraExecutor:
     def __init__(self, sim: "SoftbrainSim", config: CgraConfig) -> None:  # noqa: F821
         self.sim = sim
         self.config = config
-        self.compiled = CompiledDfg(
-            config.dfg, specialize=getattr(sim, "fast_path_on", False)
-        )
+        self.compiled = CompiledDfg(config.dfg)
         self.state = self.compiled.make_state()
         self.in_flight = 0
 

@@ -78,13 +78,15 @@ class Dispatcher:
         #: all its port keys.  Any other stream waits behind an earlier
         #: same-port command whatever the scoreboards say.
         self.scan: List[int] = []
-        # Fast-path scan cache: a full scan that issued nothing is valid
-        # until sim.dispatch_version changes (enqueue / port release /
-        # stream completion / config apply).  "quiesce" verdicts also
-        # depend on sim.quiesced(), which changes without a version bump,
-        # so they re-check only that predicate per cycle.
+        # Scan cache: a full scan that issued nothing is valid until
+        # sim.dispatch_version changes (enqueue / port release / stream
+        # completion / config apply).  "quiesce" verdicts also depend on
+        # sim.quiesced(), which changes without a version bump, so they
+        # re-check only that predicate per cycle.  A cache hit replays the
+        # scan's one trace event: ``barrier.wait`` for the head barrier.
         self._cache_version = -1
         self._cache_kind = ""  # "hard" | "quiesce"
+        self._cache_wait: Optional[CommandTrace] = None
         self._used_quiesce = False
 
     # -- core-facing interface ---------------------------------------------------
@@ -154,12 +156,14 @@ class Dispatcher:
         if self.sim.config_pending:
             return False  # reconfiguration in flight orders everything
 
-        use_cache = self.sim.fast_path_on
-        if use_cache and self._cache_version == self.sim.dispatch_version:
+        if self._cache_version == self.sim.dispatch_version:
             # Nothing the scan depends on changed since it last came up
             # empty; "quiesce" verdicts must still watch the one predicate
             # that moves without a version bump.
             if self._cache_kind == "hard" or not self.sim.quiesced():
+                waiting = self._cache_wait
+                if waiting is not None and self.sim.trace.enabled:
+                    self._trace_barrier_wait(waiting, cycle)
                 return False
 
         self._used_quiesce = False
@@ -181,11 +185,9 @@ class Dispatcher:
                         self._trace_barrier_release(sink, trace, cycle)
                     return True
                 if sink.enabled and at_head:
-                    sink.emit(TraceEvent(
-                        "barrier.wait", cycle, self.sim.unit, "dispatcher",
-                        {"index": trace.index, "command": trace.label},
-                    ))
-                return self._blocked()  # nothing may pass a pending barrier
+                    self._trace_barrier_wait(trace, cycle)
+                # nothing may pass a pending barrier
+                return self._blocked(waiting=trace if at_head else None)
 
             if kind == CONFIG:
                 if not self._config_ready(engine):
@@ -246,12 +248,19 @@ class Dispatcher:
                 scan.append(successor)
                 scan.sort()  # at most 16 entries
 
-    def _blocked(self) -> bool:
-        """Record that a full scan issued nothing (fast-path cache)."""
-        if self.sim.fast_path_on:
-            self._cache_version = self.sim.dispatch_version
-            self._cache_kind = "quiesce" if self._used_quiesce else "hard"
+    def _blocked(self, waiting: Optional[CommandTrace] = None) -> bool:
+        """Record that a full scan issued nothing (the scan cache);
+        ``waiting`` is the head barrier it reported as waiting."""
+        self._cache_version = self.sim.dispatch_version
+        self._cache_kind = "quiesce" if self._used_quiesce else "hard"
+        self._cache_wait = waiting
         return False
+
+    def _trace_barrier_wait(self, trace: CommandTrace, cycle: int) -> None:
+        self.sim.trace.emit(TraceEvent(
+            "barrier.wait", cycle, self.sim.unit, "dispatcher",
+            {"index": trace.index, "command": trace.label},
+        ))
 
     def _trace_barrier_release(self, sink, trace: CommandTrace,
                                cycle: int) -> None:

@@ -91,19 +91,17 @@ class BackingStore:
 
     def read_extended(self, addr: int, size: int, signed: bool) -> int:
         """Read a narrow element as a raw 64-bit word (zero/sign-extended)."""
-        value = int.from_bytes(self.read(addr, size), "little", signed=signed)
-        return value & 0xFFFF_FFFF_FFFF_FFFF
+        return self.read_elements((addr,), size, signed)[0]
 
     def write_word(self, addr: int, value: int, size: int = 8) -> None:
         self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
     def read_elements(self, addrs, size: int, signed: bool):
-        """Batched :meth:`read_extended` over same-size elements.
+        """:meth:`read_extended` over same-size elements.
 
-        Functionally identical to calling ``read_extended`` per address —
-        including materialising the touched pages, so
-        :meth:`snapshot_pages` is unaffected by which variant ran.  The
-        fast common case (element fully inside one page) skips the
+        Materialises the touched pages like :meth:`read`, so
+        :meth:`snapshot_pages` is the same as after per-element reads.
+        The common case (element fully inside one page) skips the
         per-read ``bytearray`` assembly of :meth:`read`.
         """
         out = []
@@ -167,13 +165,6 @@ class MemorySystem:
         self._accepted_at: int = -1
         self._accepted_count: int = 0
         self._dram_free_at: int = 0
-        #: fast-path burst reservation: a stream engine that pre-issued a
-        #: burst owns every accept slot before this cycle (see
-        #: docs/PERFORMANCE.md); 0 = no reservation
-        self._reserved_until: int = 0
-        #: Softbrain units attached to this memory (multi-unit runs share
-        #: one MemorySystem; bursts are only legal with a single requester)
-        self.units_attached: int = 0
         self.trace: TraceSink = NULL_SINK
         self._trace_unit = SHARED_UNIT
         #: optional fault injector (``mem.delay`` faults); None = no cost
@@ -201,23 +192,7 @@ class MemorySystem:
 
     # -- timing -----------------------------------------------------------------
 
-    def register_unit(self) -> None:
-        """Count one more Softbrain unit using this memory interface."""
-        self.units_attached += 1
-
-    def reserve_window(self, until_cycle: int) -> None:
-        """Reserve every accept slot strictly before ``until_cycle``.
-
-        Used by the fast path after pre-issuing a burst: the slow path
-        would have consumed one accept per covered cycle, so any other
-        would-be requester must see the interface as busy for the whole
-        window to keep timing bit-identical.
-        """
-        self._reserved_until = until_cycle
-
     def can_accept(self, cycle: int) -> bool:
-        if cycle < self._reserved_until:
-            return False
         if cycle != self._accepted_at:
             return True
         return self._accepted_count < self.params.accepts_per_cycle

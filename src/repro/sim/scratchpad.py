@@ -84,24 +84,31 @@ class Scratchpad:
         self._data[addr : addr + len(data)] = data
 
     def read_elements(self, addrs, size: int, signed: bool):
-        """Batched :meth:`read_extended` over same-size elements.
+        """:meth:`read_extended` over same-size elements, in order.
 
-        Bulk-updates the access counters by exactly what the per-element
-        calls would have added, so :class:`ScratchpadStats` stays
-        bit-identical.  Emits no trace events — callers use this only on
-        untraced fast-path runs (``sim.fast_path_on``).
+        Each element is bounds-checked, counted and traced (one
+        ``scratch.read``) exactly as a separate :meth:`read` would be;
+        only the per-element ``bytes`` copy is skipped.
         """
+        data = self._data
+        stats = self.stats
+        sink = self.trace
+        out = []
         for addr in addrs:
             self._check(addr, size)
-        n = len(addrs)
-        self.stats.reads += n
-        self.stats.bytes_read += n * size
-        data = self._data
-        return [
-            int.from_bytes(data[addr:addr + size], "little", signed=signed)
-            & 0xFFFF_FFFF_FFFF_FFFF
-            for addr in addrs
-        ]
+            stats.reads += 1
+            stats.bytes_read += size
+            if sink.enabled:
+                sink.emit(TraceEvent(
+                    "scratch.read", self._clock() if self._clock else 0,
+                    self._trace_unit, "scratchpad",
+                    {"addr": addr, "bytes": size},
+                ))
+            out.append(
+                int.from_bytes(data[addr:addr + size], "little", signed=signed)
+                & 0xFFFF_FFFF_FFFF_FFFF
+            )
+        return out
 
     def snapshot(self) -> bytes:
         """The full scratchpad image, without touching the access stats
@@ -113,8 +120,7 @@ class Scratchpad:
 
     def read_extended(self, addr: int, size: int, signed: bool) -> int:
         """Read a narrow element as a raw 64-bit word (zero/sign-extended)."""
-        value = int.from_bytes(self.read(addr, size), "little", signed=signed)
-        return value & 0xFFFF_FFFF_FFFF_FFFF
+        return self.read_elements((addr,), size, signed)[0]
 
     def write_word(self, addr: int, value: int, size: int = 8) -> None:
         self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))

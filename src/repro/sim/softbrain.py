@@ -92,13 +92,6 @@ class SoftbrainParams:
     all_requests_in_flight: bool = True
     #: stepped cycles between ``port.sample`` trace events (traced runs only)
     trace_sample_interval: int = 64
-    #: batched fast-path execution (docs/PERFORMANCE.md): burst-issue
-    #: affine streams, cache empty dispatcher scans and specialise the
-    #: compiled DFG.  A pure optimisation — cycles, stats and memory
-    #: images are bit-identical to ``fast_path=False`` (enforced by
-    #: tests/test_golden_stats.py and tests/test_property_fastpath.py).
-    #: Automatically disabled while tracing or fault injection is active.
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         check_lower_bounds(self, {
@@ -175,16 +168,8 @@ class SoftbrainSim:
             "rse": RecurrenceEngine(self, self.params.stream_table_size),
         }
         self._engine_list = list(self.engines.values())
-        #: fast path active for this run?  Tracing needs the per-cycle
-        #: event emissions and fault hooks need every slow-path call site,
-        #: so either one forces the reference path.
-        self.fast_path_on = (
-            self.params.fast_path and not self.trace.enabled
-            and faults is None
-        )
         #: bumped whenever anything a dispatcher scan depends on changes
         self.dispatch_version = 0
-        self.memory.register_unit()
         self.dispatcher = Dispatcher(self)
         self.core = ControlCore(self, program.items)
         self.cgra: Optional[CgraExecutor] = None
@@ -268,47 +253,6 @@ class SoftbrainSim:
                 {"address": address, "dfg": image.dfg.name},
             ))
 
-    # -- fast-path predicates (docs/PERFORMANCE.md) ------------------------------
-
-    def dispatch_frozen_for(self, engines) -> bool:
-        """No command targeting ``engines`` can leave the queue soon.
-
-        A burst window is only legal while the set of streams competing
-        for its resources cannot change.  That holds when (a) the core
-        cannot enqueue anything new — it has finished, or an
-        ``SD_Barrier_All`` already in the queue freezes it — and (b) no
-        queued command targets one of ``engines``.
-        """
-        queue = self.dispatcher.queue
-        if not self.core.finished and not self.dispatcher.barrier_alls:
-            return False
-        for trace in queue:
-            if trace.command.engine in engines:
-                return False
-        return True
-
-    def quiet_for_burst(self, engine) -> bool:
-        """True when skipping this cycle is invisible outside ``engine``.
-
-        Used by a bursting engine to decide whether the main loop may
-        fast-forward over the rest of its window: every other component
-        must be provably unable to act *or to count a stall* this cycle.
-        """
-        if not self.core.finished or self.dispatcher.queue:
-            return False
-        for other in self._engine_list:
-            if other is not engine and other.streams:
-                return False
-        cgra = self.cgra
-        if cgra is not None:
-            inputs = cgra.inputs
-            if not inputs:
-                return False  # a sourceless DFG would fire every cycle
-            for _, _width, port in inputs:
-                if port.fifo:
-                    return False  # visible stall counting (or a firing)
-        return True
-
     def quiesced(self) -> bool:
         """All issued work is complete (used by SD_Barrier_All and config)."""
         if any(not engine.idle() for engine in self.engines.values()):
@@ -340,16 +284,11 @@ class SoftbrainSim:
             progress = True
         if self.dispatcher.tick(cycle):
             progress = True
-        if self.fast_path_on:
-            # An engine with an empty stream table cannot progress and has
-            # no per-cycle side effects; skip its tick entirely.
-            for engine in self._engine_list:
-                if engine.streams and engine.tick(cycle):
-                    progress = True
-        else:
-            for engine in self._engine_list:
-                if engine.tick(cycle):
-                    progress = True
+        # An engine with an empty stream table cannot progress; skip it
+        # (a due ``engine.stall`` fault waits for an engine with work).
+        for engine in self._engine_list:
+            if engine.streams and engine.tick(cycle):
+                progress = True
         if self.cgra is not None and self.cgra.tick(cycle):
             progress = True
         if self.trace.enabled and cycle >= self._next_port_sample:
@@ -427,7 +366,7 @@ class SoftbrainSim:
     def _fail(self, exc: SimError) -> SimError:
         """Annotate an escaping failure with context and a crash dump.
 
-        Imported lazily so the zero-fault, no-failure fast path never pays
+        Imported lazily so the zero-fault, no-failure path never pays
         for the diagnostics machinery.
         """
         from ..resilience.report import build_failure_report

@@ -103,15 +103,6 @@ class StreamEngineBase:
         #: rebuilt whenever the stream table changes
         self.owners: Dict[Tuple[str, int], ActiveStream] = {}
         self._rr = 0  # round-robin pointer for fair selection
-        # Fast-path burst window (docs/PERFORMANCE.md): while
-        # ``cycle < _burst_until`` the engine has already pre-issued the
-        # slow path's one-request-per-cycle work for ``_burst`` and is
-        # "virtually busy".  ``_burst_final`` defers the issued_all flip
-        # to the window's last cycle so early port release timing matches
-        # the slow path exactly.
-        self._burst: Optional[ActiveStream] = None
-        self._burst_until = 0
-        self._burst_final = False
 
     def has_free_slot(self) -> bool:
         return len(self.streams) < self.table_size
@@ -244,58 +235,6 @@ class StreamEngineBase:
                 return False
         return True
 
-    def _burst_catchup(self, cycle: int) -> None:
-        """Close a burst window whose tail was fast-forwarded over.
-
-        Only reachable after a quiet skip (core finished, dispatcher
-        empty, no other engine active), so flipping ``issued_all`` before
-        this cycle's scan instead of at the window's last cycle is
-        unobservable: no consumer of the released ports can exist.
-        """
-        stream = self._burst
-        if stream is not None and cycle >= self._burst_until:
-            if self._burst_final:
-                stream.issued_all = True
-            self._burst = None
-
-    def _burst_virtual(self, cycle: int, progressed: bool) -> Optional[bool]:
-        """Handle one in-window cycle; None when no window is active.
-
-        Mirrors the slow path's behaviour on this cycle: the engine is
-        busy issuing (already accounted at burst time), and on the
-        window's last cycle the final ``advance_request`` would have
-        exhausted the pattern.  Returns False — allowing the main loop to
-        fast-forward — only when the skip is provably invisible.
-        """
-        stream = self._burst
-        if stream is None:
-            return None
-        if cycle >= self._burst_until - 1:
-            if self._burst_final:
-                stream.issued_all = True
-            self._burst = None
-        if progressed:
-            return True
-        return not self.sim.quiet_for_burst(self)
-
-    def _burst_open(self, stream: ActiveStream, cycle: int, count: int) -> None:
-        """Account and arm a ``count``-cycle burst window starting now."""
-        # advance_request flips issued_all the moment the pattern
-        # exhausts; the slow path would only do that on the window's last
-        # cycle, so defer the flip until then.
-        final = stream.issued_all
-        if final:
-            stream.issued_all = False
-        self.sim.stats.note_engine_busy_bulk(self.name, count)
-        self.sim.memory.reserve_window(cycle + count)
-        self._burst = stream
-        self._burst_until = cycle + count
-        self._burst_final = final
-        if count == 1:  # the window is this very cycle; close it now
-            if final:
-                stream.issued_all = True
-            self._burst = None
-
     def _rotate(self, candidates: List[ActiveStream]) -> List[ActiveStream]:
         """Round-robin rotation for fair stream selection."""
         if not candidates:
@@ -344,8 +283,6 @@ class MemReadEngine(StreamEngineBase):
         sim = self.sim
         if sim.faults is not None and self._fault_stalled(cycle):
             return False
-        if self._burst is not None:
-            self._burst_catchup(cycle)
         progressed = False
         streams = self.streams
         # Ownership as of the start of the tick: a stream retiring below
@@ -368,8 +305,6 @@ class MemReadEngine(StreamEngineBase):
                 self._maybe_early_release(stream)
             lines += len(pending)
 
-        if self._burst is not None:
-            return self._burst_virtual(cycle, progressed)
         if lines >= self.BUFFER_LINES or not sim.memory.can_accept(cycle):
             return progressed
 
@@ -381,87 +316,8 @@ class MemReadEngine(StreamEngineBase):
                 ready.sort(key=self._balance_score)
         else:
             ready = self._rotate(ready)
-        if self._try_burst(ready[0], cycle):
-            return True
         self._issue(ready[0], cycle)
         self._note_busy(cycle, ready[0])
-        return True
-
-    def _try_burst(self, stream: ActiveStream, cycle: int) -> bool:
-        """Fast path: pre-issue a whole affine burst in one step.
-
-        Legal only when the slow path would provably issue one request of
-        this stream on every covered cycle and nothing else can observe
-        the difference; see docs/PERFORMANCE.md for the eligibility rules.
-        """
-        sim = self.sim
-        if not sim.fast_path_on or len(self.streams) != 1:
-            return False
-        command = stream.command
-        if not isinstance(command, (SDMemPort, SDMemScratch)):
-            return False
-        memory = sim.memory
-        timing = memory.params
-        if (
-            memory.units_attached > 1  # shared interface: competing units
-            or timing.l2_hit_latency < 1
-            or timing.dram_latency < 1  # zero-latency data could drain early
-            # pending write-stream data would be a read-after-write hazard
-            # against our pre-read of the backing store
-            or sim.engines["mse_write"].streams
-            or not sim.dispatch_frozen_for(("mse_read", "mse_write"))
-        ):
-            return False
-        cap = self.BUFFER_LINES - len(stream.pending)
-        if cap <= 1:
-            return False
-        pending = stream.pending
-        schedule = sim.schedule
-        store = memory.store
-        count = 0
-        if isinstance(command, SDMemPort):
-            port = stream.dest_port
-            signed = command.pattern.signed
-            while count < cap:
-                request = stream.next_request
-                if request is None:
-                    break
-                ready_at = memory.issue(
-                    cycle + count, request.line_addr, False, request.bytes_used
-                )
-                words = store.read_elements(
-                    request.element_addrs, request.elem_bytes, signed
-                )
-                pending.append((ready_at, words, port))
-                schedule(ready_at, None)
-                stream.advance_request()
-                count += 1
-        else:
-            scratchpad = sim.scratchpad
-            while count < cap:
-                request = stream.next_request
-                if request is None:
-                    break
-                ready_at = memory.issue(
-                    cycle + count, request.line_addr, False, request.bytes_used
-                )
-                data = b"".join(
-                    store.read(addr, request.elem_bytes)
-                    for addr in request.element_addrs
-                )
-                base = (command.scratch_addr
-                        + stream.elements_done * request.elem_bytes)
-                stream.elements_done += request.num_elements
-                schedule(
-                    ready_at,
-                    lambda base=base, data=data: scratchpad.write(base, data),
-                )
-                pending.append((ready_at, [], None))
-                stream.advance_request()
-                count += 1
-        if count == 0:
-            return False
-        self._burst_open(stream, cycle, count)
         return True
 
     def _can_issue(self, stream: ActiveStream) -> bool:
@@ -574,8 +430,6 @@ class MemWriteEngine(StreamEngineBase):
     def tick(self, cycle: int) -> bool:
         if self.sim.faults is not None and self._fault_stalled(cycle):
             return False
-        if self._burst is not None:
-            self._burst_catchup(cycle)
         progressed = False
         for stream in list(self.streams):
             pending = stream.pending
@@ -588,8 +442,6 @@ class MemWriteEngine(StreamEngineBase):
             elif stream.issued_all and not stream.early_released:
                 self._maybe_early_release(stream)
 
-        if self._burst is not None:
-            return self._burst_virtual(cycle, progressed)
         if not self.sim.memory.can_accept(cycle):
             return progressed
 
@@ -597,88 +449,8 @@ class MemWriteEngine(StreamEngineBase):
         if not ready:
             return progressed
         chosen = self._rotate(ready)[0]
-        if self._try_burst(chosen, cycle):
-            return True
         self._issue(chosen, cycle)
         self._note_busy(cycle, chosen)
-        return True
-
-    #: burst window bound; port capacities are far smaller in practice
-    BURST_LINES = 32
-
-    def _try_burst(self, stream: ActiveStream, cycle: int) -> bool:
-        """Fast path: drain a whole affine store burst in one step.
-
-        Stricter than the read burst: popping source-port words early is
-        only invisible while the CGRA is input-starved (its can_fire
-        checks inputs before output room) and nothing can feed it — so
-        every other engine must be empty and the dispatcher frozen.  See
-        docs/PERFORMANCE.md.
-        """
-        sim = self.sim
-        if not sim.fast_path_on or len(self.streams) != 1:
-            return False
-        command = stream.command
-        if not isinstance(command, SDPortMem):
-            return False
-        memory = sim.memory
-        timing = memory.params
-        if (
-            memory.units_attached > 1
-            or timing.l2_hit_latency < 1
-            or timing.dram_latency < 1
-        ):
-            return False
-        for engine in sim._engine_list:
-            if engine is not self and engine.streams:
-                return False
-        if not sim.dispatch_frozen_for(
-            ("mse_read", "mse_write", "sse", "rse")
-        ):
-            return False
-        cgra = sim.cgra
-        if cgra is not None:
-            if not cgra.inputs:
-                return False
-            if all(
-                port.occupancy >= width for _, width, port in cgra.inputs
-            ):
-                return False  # could fire: output room must stay exact
-        source = stream.source_port
-        # Prefix of requests fully covered by words already at the port —
-        # the slow path would certainly issue one per cycle (deliveries
-        # only ever add words behind them).
-        occupancy = source.occupancy
-        requests: List[LineRequest] = []
-        total = 0
-        while len(requests) < self.BURST_LINES:
-            request = stream.next_request
-            if request is None or total + request.num_elements > occupancy:
-                break
-            requests.append(request)
-            total += request.num_elements
-            stream.advance_request()
-        if not requests:
-            return False
-        words_all = source.pop_words(total)
-        store = memory.store
-        position = 0
-        for count, request in enumerate(requests):
-            words = words_all[position:position + request.num_elements]
-            position += request.num_elements
-            ready_at = memory.issue(
-                cycle + count, request.line_addr, True, request.bytes_used
-            )
-            writes = list(zip(request.element_addrs, words))
-            elem_bytes = request.elem_bytes
-
-            def apply(writes=writes, elem_bytes=elem_bytes) -> None:
-                for addr, word in writes:
-                    store.write_word(addr, word, elem_bytes)
-
-            sim.schedule(ready_at, apply)
-            stream.pending.append((ready_at, [], None))
-        self._burst_open(stream, cycle, len(requests))
         return True
 
     def _can_issue(self, stream: ActiveStream) -> bool:
@@ -817,18 +589,9 @@ class ScratchEngine(StreamEngineBase):
         request = stream.next_request
         assert request is not None
         port = stream.dest_port
-        if self.sim.fast_path_on:  # batched variant: same stats, no trace
-            words = self.sim.scratchpad.read_elements(
-                request.element_addrs, request.elem_bytes,
-                command.pattern.signed,
-            )
-        else:
-            words = [
-                self.sim.scratchpad.read_extended(
-                    addr, request.elem_bytes, command.pattern.signed
-                )
-                for addr in request.element_addrs
-            ]
+        words = self.sim.scratchpad.read_elements(
+            request.element_addrs, request.elem_bytes, command.pattern.signed
+        )
         stream.pending.append((cycle + SCRATCH_READ_LATENCY, words, port))
         self.sim.schedule(cycle + SCRATCH_READ_LATENCY, None)
         stream.advance_request()

@@ -9,6 +9,7 @@ from collections import defaultdict
 import pytest
 
 from repro.sim import MemorySystem, SoftbrainParams, run_multi_unit
+from repro.sim.dispatcher import Dispatcher
 from repro.sim.stats import SimStats
 from repro.trace import (
     EVENT_SCHEMAS,
@@ -25,6 +26,7 @@ from repro.trace import (
     validate_event,
 )
 from repro.workloads.common import run_and_verify
+from repro.workloads.dnn import DNN_LAYERS, build_dnn_layer
 from repro.workloads.machsuite import MACHSUITE
 
 
@@ -107,6 +109,33 @@ class TestEventStream:
             validate_event(TraceEvent("no.such", 0, 0, "x", {}))
         with pytest.raises(ValueError):
             validate_event(TraceEvent("cgra.stall", 0, 0, "cgra", {}))
+
+
+class TestScanCacheInvisible:
+    """The dispatcher's scan cache skips rescans that cannot issue; on a
+    cache hit it must still emit what the skipped scan would have (the
+    head barrier's ``barrier.wait``), so a traced run's event stream is
+    the same with the cache defeated."""
+
+    @staticmethod
+    def _build(name):
+        if name in MACHSUITE:
+            return MACHSUITE[name][0]()
+        return build_dnn_layer(
+            next(layer for layer in DNN_LAYERS if layer.name == name))
+
+    @pytest.mark.parametrize("name", ["nw", "fft", "class1p"])
+    def test_events_equal_with_cache_defeated(self, name, monkeypatch):
+        cached = ListSink()
+        run_and_verify(self._build(name), trace=cached)
+        # Never record a blocked scan: every cycle rescans the queue.
+        monkeypatch.setattr(Dispatcher, "_blocked",
+                            lambda self, waiting=None: False)
+        uncached = ListSink()
+        run_and_verify(self._build(name), trace=uncached)
+        waits = [e for e in cached.events if e.kind == "barrier.wait"]
+        assert waits, "workload never waits on a barrier; test is vacuous"
+        assert cached.events == uncached.events
 
 
 class TestReconciliation:
