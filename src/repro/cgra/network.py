@@ -11,7 +11,7 @@ Each switch hop costs one cycle of pipeline latency (:data:`HOP_LATENCY`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
@@ -52,6 +52,14 @@ class MeshNetwork:
         x, y = coord
         candidates = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
         return [c for c in candidates if self.in_bounds(c)]
+
+    def neighbor_table(self) -> Dict[Coord, List[Coord]]:
+        """:meth:`neighbors` of every coordinate, built once per mesh."""
+        table = getattr(self, "_neighbor_table", None)
+        if table is None:
+            table = {coord: self.neighbors(coord) for coord in self.coords()}
+            self._neighbor_table = table
+        return table
 
     def links(self) -> Iterator[Link]:
         """Every directed switch-to-switch link."""

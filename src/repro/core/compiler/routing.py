@@ -35,10 +35,6 @@ class RouterState:
     def users(self, link: Link) -> Set[str]:
         return self.occupancy.setdefault(link, set())
 
-    def can_use(self, link: Link, producer: str) -> bool:
-        users = self.users(link)
-        return producer in users or len(users) < self.mesh.channels
-
     def claim_path(self, path: List[Link], producer: str) -> None:
         for link in path:
             self.users(link).add(producer)
@@ -62,6 +58,9 @@ def route_value(
     if src == dst:
         return []
     mesh = state.mesh
+    neighbors = mesh.neighbor_table()
+    occupancy = state.occupancy
+    channels = mesh.channels
     # 0-1 BFS: reused links cost 0, fresh channel claims cost 1.
     best: Dict[Coord, int] = {src: 0}
     parent: Dict[Coord, Link] = {}
@@ -72,11 +71,17 @@ def route_value(
             continue
         if coord == dst:
             break
-        for nbr in mesh.neighbors(coord):
+        for nbr in neighbors[coord]:
             link = (coord, nbr)
-            if not state.can_use(link, producer):
-                continue
-            step = 0 if producer in state.users(link) else 1
+            users = occupancy.get(link)
+            if users is None:
+                step = 1
+            elif producer in users:
+                step = 0
+            elif len(users) < channels:
+                step = 1
+            else:
+                continue  # every channel carries another value
             new_cost = cost + step
             if new_cost < best.get(nbr, float("inf")):
                 best[nbr] = new_cost

@@ -161,6 +161,56 @@ def _greedy_placement(
     return placement
 
 
+def _incident_edges(
+    dfg: Dfg,
+    fabric: Fabric,
+    port_map: Dict[str, int],
+    slots: Dict[str, int],
+) -> Tuple[List[List[Tuple[int, int]]], List[Coord]]:
+    """The edges :func:`_placement_cost` sums, listed per instruction.
+
+    An edge is a pair of endpoint slots: ``slots`` numbers the placed
+    instructions ``0..n-1``, and slots from ``n`` on are the fixed
+    vector-port lane coordinates returned second, resolved here once.
+    Entry ``i`` of the first list holds every edge touching instruction
+    ``i``; an edge with two fixed ends never changes length and is in no
+    list.
+    """
+    movable = len(slots)
+    fixed: List[Coord] = []
+
+    def fixed_slot(coord: Coord) -> int:
+        fixed.append(coord)
+        return movable + len(fixed) - 1
+
+    def source(ref: ValueRef) -> Optional[int]:
+        if ref.node in dfg.inputs:
+            return fixed_slot(_value_coord(dfg, fabric, port_map, {}, ref))
+        return slots.get(ref.node)
+
+    incident: List[List[Tuple[int, int]]] = [[] for _ in range(movable)]
+
+    def add(src: Optional[int], dst: int) -> None:
+        if src is None:
+            return
+        for end in {src, dst}:
+            if end < movable:
+                incident[end].append((src, dst))
+
+    for inst in dfg.instructions.values():
+        dst = slots.get(inst.name)
+        if dst is None:
+            continue
+        for ref in dfg.operand_refs(inst):
+            add(source(ref), dst)
+    for port_name, port in dfg.outputs.items():
+        hw_port = fabric.find_port("out", port_map[port_name])
+        for lane, ref in enumerate(port.sources):
+            add(source(ref),
+                fixed_slot(hw_port.attach[lane % len(hw_port.attach)]))
+    return incident, fixed
+
+
 def _anneal_placement(
     dfg: Dfg,
     fabric: Fabric,
@@ -169,7 +219,13 @@ def _anneal_placement(
     rng: random.Random,
     iterations: int,
 ) -> Dict[str, Coord]:
-    """Simulated-annealing refinement by pairwise swaps and moves."""
+    """Simulated-annealing refinement by pairwise swaps and moves.
+
+    A move re-prices only the edges touching the instructions it moves,
+    so ``cost`` always equals what :func:`_placement_cost` would return
+    and every accept/reject decision, with its RNG draws, is the one a
+    full recompute makes.
+    """
     if not placement or iterations <= 0:
         return placement
     placement = dict(placement)
@@ -184,32 +240,55 @@ def _anneal_placement(
         coords = [pe.coord for pe in fabric.pes_supporting(inst.op.name)]
         free_by_op[inst.name] = coords
 
+    slots = {name: i for i, name in enumerate(names)}
+    incident, fixed = _incident_edges(dfg, fabric, port_map, slots)
+    pos: List[Coord] = [placement[name] for name in names] + fixed
+    occupant_at = {coord: i for i, coord in enumerate(pos[:len(names)])}
+
+    def length(edges: List[Tuple[int, int]]) -> int:
+        total = 0
+        for a, b in edges:
+            (ax, ay), (bx, by) = pos[a], pos[b]
+            total += abs(ax - bx) + abs(ay - by)
+        return total
+
     for _ in range(iterations):
         name = rng.choice(names)
-        old = placement[name]
+        i = slots[name]
+        old = pos[i]
         target = rng.choice(free_by_op[name])
         if target == old:
             continue
-        occupant = next(
-            (n for n, c in placement.items() if c == target), None
-        )
-        if occupant is not None and not fabric.pes[old].supports(
-            dfg.instructions[occupant].op.name
+        j = occupant_at.get(target)
+        if j is None:
+            edges = incident[i]
+        elif not fabric.pes[old].supports(
+            dfg.instructions[names[j]].op.name
         ):
             continue  # swap would strand the occupant on an unsupported FU
-        placement[name] = target
-        if occupant is not None:
-            placement[occupant] = old
-        new_cost = _placement_cost(dfg, fabric, port_map, placement)
-        delta = new_cost - cost
+        else:  # a swap keeps the length of an edge between the pair, so
+            # listing it twice adds the same amount before and after
+            edges = incident[i] + incident[j]
+        before = length(edges)
+        pos[i] = target
+        if j is not None:
+            pos[j] = old
+        delta = length(edges) - before
         if delta <= 0 or rng.random() < pow(2.718, -delta / temperature):
-            cost = new_cost
+            cost += delta
+            placement[name] = target
+            occupant_at[target] = i
+            if j is None:
+                del occupant_at[old]
+            else:
+                placement[names[j]] = old
+                occupant_at[old] = j
             if cost < best_cost:
                 best, best_cost = dict(placement), cost
         else:  # revert
-            placement[name] = old
-            if occupant is not None:
-                placement[occupant] = target
+            pos[i] = old
+            if j is not None:
+                pos[j] = target
         temperature = max(0.05, temperature * cooling)
     return best
 

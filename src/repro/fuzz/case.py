@@ -14,12 +14,14 @@ seed-determinism test in ``tests/test_fuzz.py`` asserts exactly that).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cgra.fabric import broadly_provisioned
+from ..cgra.fabric import Fabric, broadly_provisioned
 from ..core.compiler import schedule
 from ..core.compiler.config import CgraConfig
 from ..core.isa.program import StreamProgram
@@ -325,7 +327,19 @@ def _aligned(nbytes: int) -> int:
 
 # -- lowering -----------------------------------------------------------------
 
-_SCHEDULE_CACHE: Dict[Tuple[str, int], CgraConfig] = {}
+#: schedules :func:`schedule_plan_dfg` keeps, least recently used dropped
+#: first.  A campaign draws an unbounded stream of cases and each is
+#: scheduled by its generator and again by the oracle soon after, so a
+#: short window catches every repeat while memory stays flat.
+SCHEDULE_CACHE_SIZE = 64
+
+_SCHEDULE_CACHE: OrderedDict[Tuple[str, int], CgraConfig] = OrderedDict()
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_fabric() -> Fabric:
+    """The fabric every fuzz case is scheduled on, built on first use."""
+    return broadly_provisioned()
 
 
 def schedule_plan_dfg(dfg_spec: dict, schedule_seed: int) -> CgraConfig:
@@ -338,12 +352,16 @@ def schedule_plan_dfg(dfg_spec: dict, schedule_seed: int) -> CgraConfig:
     if config is None:
         config = schedule(
             dfg_from_spec(dfg_spec),
-            broadly_provisioned(),
+            fuzz_fabric(),
             seed=schedule_seed,
             anneal_iterations=FUZZ_ANNEAL_ITERATIONS,
             max_attempts=FUZZ_SCHEDULE_ATTEMPTS,
         )
         _SCHEDULE_CACHE[key] = config
+        if len(_SCHEDULE_CACHE) > SCHEDULE_CACHE_SIZE:
+            _SCHEDULE_CACHE.popitem(last=False)
+    else:
+        _SCHEDULE_CACHE.move_to_end(key)
     return config
 
 
@@ -360,8 +378,8 @@ class BuiltCase:
     image: List[Tuple[int, bytes]]
 
     @property
-    def fabric(self):
-        return broadly_provisioned()
+    def fabric(self) -> Fabric:
+        return self.config.fabric
 
     def fresh_memory(self) -> MemorySystem:
         memory = MemorySystem()

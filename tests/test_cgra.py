@@ -59,6 +59,15 @@ class TestMesh:
         mesh = MeshNetwork(3, 3)
         assert len(mesh.neighbors((1, 1))) == 4
 
+    @pytest.mark.parametrize("cols, rows", [(1, 1), (1, 6), (6, 1), (5, 4)])
+    def test_neighbor_table_matches_neighbors(self, cols, rows):
+        mesh = MeshNetwork(cols, rows)
+        table = mesh.neighbor_table()
+        assert list(table) == list(mesh.coords())
+        for coord in mesh.coords():
+            assert table[coord] == mesh.neighbors(coord)
+        assert mesh.neighbor_table() is table  # built once
+
     def test_num_links(self):
         mesh = MeshNetwork(3, 2)
         assert mesh.num_links == len(list(mesh.links()))

@@ -1,8 +1,12 @@
 """Unit tests for the spatial compiler: routing, placement, delay matching."""
 
+import random
+from typing import Dict, List
+
 import pytest
 
 from repro.cgra import MeshNetwork, broadly_provisioned, build_fabric, dnn_provisioned
+from repro.cgra.network import Coord
 from repro.core.compiler import (
     CgraConfig,
     DelayMatchError,
@@ -14,7 +18,12 @@ from repro.core.compiler import (
     route_value,
     schedule,
 )
+from repro.core.compiler import scheduler
 from repro.core.dfg import DfgBuilder, parse_dfg
+from repro.fuzz.case import FUZZ_ANNEAL_ITERATIONS, FUZZ_SCHEDULE_ATTEMPTS
+from repro.fuzz.generators import random_dfg
+from repro.workloads.dnn import DNN_LAYERS, build_dnn_layer
+from repro.workloads.machsuite import MACHSUITE
 
 DOT = parse_dfg(
     "input A 3\ninput B 3\n"
@@ -217,3 +226,112 @@ class TestSchedule:
         )
         config = schedule(dfg, broadly_provisioned())
         assert len(config.placement) == 2
+
+
+# The annealer before incremental costing, kept verbatim as the oracle
+# for ``scheduler._anneal_placement``: every move re-prices the whole
+# placement with ``_placement_cost``.
+def reference_anneal_placement(dfg, fabric, port_map, placement, rng,
+                               iterations) -> Dict[str, Coord]:
+    """Simulated-annealing refinement by pairwise swaps and moves."""
+    if not placement or iterations <= 0:
+        return placement
+    placement = dict(placement)
+    names = list(placement)
+    cost = scheduler._placement_cost(dfg, fabric, port_map, placement)
+    best, best_cost = dict(placement), cost
+    temperature = max(2.0, cost / 4.0)
+    cooling = 0.995
+
+    free_by_op: Dict[str, List[Coord]] = {}
+    for inst in dfg.instructions.values():
+        coords = [pe.coord for pe in fabric.pes_supporting(inst.op.name)]
+        free_by_op[inst.name] = coords
+
+    for _ in range(iterations):
+        name = rng.choice(names)
+        old = placement[name]
+        target = rng.choice(free_by_op[name])
+        if target == old:
+            continue
+        occupant = next(
+            (n for n, c in placement.items() if c == target), None
+        )
+        if occupant is not None and not fabric.pes[old].supports(
+            dfg.instructions[occupant].op.name
+        ):
+            continue  # swap would strand the occupant on an unsupported FU
+        placement[name] = target
+        if occupant is not None:
+            placement[occupant] = old
+        new_cost = scheduler._placement_cost(dfg, fabric, port_map, placement)
+        delta = new_cost - cost
+        if delta <= 0 or rng.random() < pow(2.718, -delta / temperature):
+            cost = new_cost
+            if cost < best_cost:
+                best, best_cost = dict(placement), cost
+        else:  # revert
+            placement[name] = old
+            if occupant is not None:
+                placement[occupant] = target
+        temperature = max(0.05, temperature * cooling)
+    return best
+
+
+def config_facts(config: CgraConfig):
+    """Everything a mapping decides, in the order it was decided."""
+    return (list(config.placement.items()), list(config.port_map.items()),
+            list(config.edges.items()), config.latency)
+
+
+def schedule_both(monkeypatch, dfg, fabric, **kwargs):
+    """``schedule`` as it is, then with the reference annealer swapped in
+    (a ``SchedulingError`` message stands in for a config)."""
+    outcomes = []
+    for anneal in (None, reference_anneal_placement):
+        with monkeypatch.context() as patch:
+            if anneal is not None:
+                patch.setattr(scheduler, "_anneal_placement", anneal)
+            try:
+                outcomes.append(config_facts(schedule(dfg, fabric, **kwargs)))
+            except SchedulingError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+#: random DFGs checked against the reference, dealt round-robin to the
+#: four fabric x effort combinations
+ORACLE_DFGS = 300
+FABRICS = {"dnn": dnn_provisioned(), "broad": broadly_provisioned()}
+EFFORTS = {
+    "fuzz": dict(anneal_iterations=FUZZ_ANNEAL_ITERATIONS,
+                 max_attempts=FUZZ_SCHEDULE_ATTEMPTS),
+    "default": {},
+}
+COMBOS = [(fabric, effort) for fabric in FABRICS for effort in EFFORTS]
+
+
+class TestIncrementalAnnealer:
+    """``schedule`` maps every DFG exactly as the full-recompute annealer
+    does: same placement, port map, routed links, delays and latency."""
+
+    @pytest.mark.parametrize("fabric, effort", COMBOS)
+    def test_random_dfgs_match_reference(self, monkeypatch, fabric, effort):
+        first = COMBOS.index((fabric, effort))
+        for index in range(first, ORACLE_DFGS, len(COMBOS)):
+            rng = random.Random(index)
+            dfg = random_dfg(rng.randrange(1_000_000), rng.randint(1, 3),
+                             rng.randint(1, 12))
+            new, ref = schedule_both(monkeypatch, dfg, FABRICS[fabric],
+                                     seed=index % 5, **EFFORTS[effort])
+            assert new == ref, f"DFG {index} ({dfg.name}) maps differently"
+
+    def test_workload_dfgs_match_reference(self, monkeypatch):
+        builds = [entry[0] for entry in MACHSUITE.values()]
+        builds += [lambda layer=layer: build_dnn_layer(layer)
+                   for layer in DNN_LAYERS]
+        for build in builds:
+            for config in build().program.config_images.values():
+                new, ref = schedule_both(monkeypatch, config.dfg,
+                                         config.fabric)
+                assert new == ref == config_facts(config), config.dfg.name

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import repro.core.isa.interpreter as interpreter_module
+import repro.fuzz.case as case_module
 from repro.core.isa.encoding import encode_items
 from repro.fuzz import (
     CasePlan,
@@ -109,6 +110,28 @@ class TestOracle:
         report = run_case(trivial_plan())
         assert not report.ok
         assert any(d.kind.startswith("interp-") for d in report.divergences)
+
+
+class TestScheduleMemo:
+    def test_bounded_and_shared_with_build_case(self, monkeypatch):
+        scheduled = []
+        real_schedule = case_module.schedule
+
+        def counting_schedule(*args, **kwargs):
+            scheduled.append(args[0].name)
+            return real_schedule(*args, **kwargs)
+
+        monkeypatch.setattr(case_module, "schedule", counting_schedule)
+        bound = case_module.SCHEDULE_CACHE_SIZE
+        for index in range(bound + 8):
+            plan = _plan(f"memo:{index}")
+            generated = len(scheduled)
+            built = build_case(plan)
+            assert len(scheduled) == generated  # the generator's config
+            assert len(case_module._SCHEDULE_CACHE) <= bound
+        assert len(set(scheduled)) > bound
+        assert built.fabric is built.config.fabric
+        assert built.fabric is case_module.fuzz_fabric()
 
 
 class TestSeedDeterminism:
