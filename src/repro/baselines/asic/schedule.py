@@ -10,8 +10,8 @@ the same "ideally pipelined, resource limited" assumption Aladdin makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set
 
 from .ddg import Ddg
 
@@ -48,16 +48,21 @@ class AsicDesign:
 
 @dataclass
 class ScheduleResult:
-    """Outcome of scheduling one DDG on one design point."""
+    """Outcome of scheduling one DDG on one design point.
+
+    ``waited`` names the resources on which some op started later than
+    its dependences allowed, because every slot of its ready cycle was
+    taken.  Giving any other resource more units cannot change the
+    schedule, which is what lets :func:`~.dse.explore_design_space` reuse
+    a result across design points.  It has no default, so no result can
+    claim "no op waited" by omission.
+    """
 
     design: AsicDesign
     cycles: int
     ops: int
-    resource_busy: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def avg_parallelism(self) -> float:
-        return self.ops / self.cycles if self.cycles else 0.0
+    resource_busy: Dict[str, int]
+    waited: FrozenSet[str]
 
 
 def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
@@ -67,12 +72,15 @@ def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
     has a free slot on its resource.  Per resource, ``used`` counts the
     slots taken in each partly-filled cycle, and ``skip`` links every full
     cycle towards a later cycle (a union-find with path compression), so
-    the search jumps over saturated runs instead of scanning them.
+    the search jumps over saturated runs instead of scanning them.  An op
+    whose ready cycle is full is the only one that follows ``skip``, so
+    that branch also records its resource in ``waited``.
     """
     resources = design.resources
     columns = ddg.columns()
     state = {name: (limit, {}, {}) for name, limit in resources.items()}
     finish: List[int] = []
+    waited: Set[str] = set()
     last_cycle = 0
 
     for deps, resource, latency in zip(
@@ -84,6 +92,7 @@ def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
                 cycle = finish[dep]
         limit, used, skip = state[resource]
         if cycle in skip:
+            waited.add(resource)
             root = skip[cycle]
             while root in skip:
                 root = skip[root]
@@ -103,4 +112,5 @@ def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
             last_cycle = cycle
 
     busy = {name: columns.resource_ops.get(name, 0) for name in resources}
-    return ScheduleResult(design, max(last_cycle, 1), ddg.num_ops, busy)
+    return ScheduleResult(design, max(last_cycle, 1), ddg.num_ops, busy,
+                          frozenset(waited))

@@ -118,6 +118,9 @@ def _greedy_placement(
     occupied: set = set()
     mesh = fabric.mesh
     consumers = dfg.consumers()
+    output_sources = {
+        ref.node for port in dfg.outputs.values() for ref in port.sources
+    }
 
     for inst in dfg.topological_order():
         candidates = [
@@ -137,11 +140,7 @@ def _greedy_placement(
             is not None
         ]
         # Pull instructions that feed outputs toward the bottom edge.
-        feeds_output = any(
-            ref.node == inst.name
-            for port in dfg.outputs.values()
-            for ref in port.sources
-        )
+        feeds_output = inst.name in output_sources
 
         def score(coord: Coord) -> Tuple[int, int, int, float]:
             # Prefer the least-capable FU that supports the op, so scarce

@@ -68,9 +68,6 @@ class VectorPortState:
         self.fifo.extend(words)
         self.total_pushed += count
 
-    def can_pop(self, nwords: int) -> bool:
-        return len(self.fifo) >= nwords
-
     def pop_words(self, nwords: int) -> List[int]:
         fifo = self.fifo
         occupancy = len(fifo)

@@ -1,6 +1,7 @@
 """Unit + property tests for mini-Aladdin: DDG, scheduler, power/area, DSE."""
 
 from collections import defaultdict
+from dataclasses import replace
 from functools import partial
 from typing import Dict, List
 
@@ -24,7 +25,9 @@ from repro.workloads import machsuite as m
 
 
 # The original cycle-by-cycle slot scan (quadratic once a resource
-# saturates), kept verbatim as the oracle for ``schedule_ddg``.
+# saturates), kept as the oracle for ``schedule_ddg``.  It reports
+# ``waited`` from its own definition: the resources with an op that
+# started after all its dependences had finished.
 def reference_schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
     """List-schedule the DDG; returns total cycles and busy counters."""
     resources = design.resources
@@ -32,6 +35,7 @@ def reference_schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
     usage: Dict[str, Dict[int, int]] = {name: defaultdict(int) for name in resources}
     finish: List[int] = [0] * ddg.num_ops
     busy: Dict[str, int] = {name: 0 for name in resources}
+    waited = set()
     last_cycle = 0
 
     for node in ddg.nodes:
@@ -47,11 +51,25 @@ def reference_schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
             cycle += 1
         slot_usage[cycle] += 1
         busy[resource] += 1
+        if cycle > max((finish[dep] for dep in node.deps), default=0):
+            waited.add(resource)
         finish[node.node_id] = cycle + node.latency
         if finish[node.node_id] > last_cycle:
             last_cycle = finish[node.node_id]
 
-    return ScheduleResult(design, max(last_cycle, 1), ddg.num_ops, busy)
+    return ScheduleResult(design, max(last_cycle, 1), ddg.num_ops, busy,
+                          frozenset(waited))
+
+
+def reference_explore_design_space(ddg: Ddg, base: AsicDesign):
+    """The design-space sweep with no schedule reuse: every point is
+    scheduled afresh by the reference scheduler."""
+    return [
+        estimate_power_area(ddg, reference_schedule_ddg(
+            ddg, replace(base, unroll=unroll, partition=partition)))
+        for unroll in dse.DEFAULT_UNROLL
+        for partition in dse.DEFAULT_PARTITION
+    ]
 
 
 def vector_scale_ddg(n=32, factor=3):
@@ -208,8 +226,8 @@ class TestSchedulerOracle:
     def assert_same(ddg, design):
         fast = schedule_ddg(ddg, design)
         slow = reference_schedule_ddg(ddg, design)
-        assert (fast.cycles, fast.ops, fast.resource_busy) == (
-            slow.cycles, slow.ops, slow.resource_busy)
+        assert (fast.cycles, fast.ops, fast.resource_busy, fast.waited) == (
+            slow.cycles, slow.ops, slow.resource_busy, slow.waited)
 
     @given(ddg=random_ddgs(), design=designs)
     @settings(max_examples=150, deadline=None)
@@ -221,6 +239,31 @@ class TestSchedulerOracle:
     def test_matches_reference_under_heavy_saturation(self, ddg):
         self.assert_same(ddg, AsicDesign(mem_ports_per_partition=1))
         self.assert_same(ddg, AsicDesign(unroll=16, partition=8))
+
+
+class TestSweepReuse:
+    """The sweep that reuses schedules against one that schedules every
+    point with the reference scheduler."""
+
+    @given(ddg=random_ddgs(), base=designs)
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_reference_sweep(self, ddg, base):
+        assert explore_design_space(ddg, base=base) == (
+            reference_explore_design_space(ddg, base))
+
+    def test_reused_result_has_own_design_and_busy(self, monkeypatch):
+        results = []
+
+        def keep(ddg, result):
+            results.append(result)
+            return estimate_power_area(ddg, result)
+
+        monkeypatch.setattr(dse, "estimate_power_area", keep)
+        explore_design_space(vector_scale_ddg(8).ddg)
+        assert [r.design.label() for r in results] == [
+            f"u{u}p{p}" for u in dse.DEFAULT_UNROLL
+            for p in dse.DEFAULT_PARTITION]
+        assert len({id(r.resource_busy) for r in results}) == len(results)
 
 
 #: every MachSuite kernel's DDG at a small size
@@ -244,14 +287,12 @@ def test_small_ddgs_cover_every_kernel():
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_DDGS))
-def test_kernel_sweep_selects_same_design(name, monkeypatch):
+def test_kernel_sweep_selects_same_design(name):
     ddg = SMALL_DDGS[name]()
     base = m.MACHSUITE[name][3]()
     fast = explore_design_space(ddg, base=base)
-    monkeypatch.setattr(dse, "schedule_ddg", reference_schedule_ddg)
-    slow = explore_design_space(ddg, base=base)
-    assert [(p.design, p.cycles, p.power_mw, p.area_mm2) for p in fast] == [
-        (p.design, p.cycles, p.power_mw, p.area_mm2) for p in slow]
+    slow = reference_explore_design_space(ddg, base)
+    assert fast == slow
     targets = sorted({p.cycles for p in slow}) + [1, 2 * max(p.cycles for p in slow)]
     for target in targets:
         assert (select_iso_performance(fast, target).design.label()
